@@ -19,6 +19,7 @@ import numpy as np
 
 from . import quadrature
 from .errors import ConfigurationError, DegenerateBoundsError, DomainError
+from .fixedpoint import ConvergenceBound
 from .model import Bounds, Domain, FieldPair, Grid, SystemParams
 
 _TINY = 1e-300
@@ -64,14 +65,11 @@ def lipschitz(params: SystemParams, bounds: Bounds) -> LipschitzConstants:
 
 
 def existence_interval_bound(params: SystemParams, bounds: Bounds) -> float:
-    """Largest interval length the existence argument admits (cube root bound)."""
-    M, Mstar = bounds.M, bounds.Mstar
-    denom = abs(params.s) * (M + M * Mstar) + abs(params.r) * (
-        params.alpha * Mstar + 0.5 * M * M
-    )
-    if denom == 0.0:
+    """Largest interval length the existence argument admits: (8(M+M*)/(K1+K2))^(1/3)."""
+    cb = ConvergenceBound.from_bounds(params, bounds.M, bounds.Mstar)
+    if cb.K1 + cb.K2 == 0.0:
         raise DegenerateBoundsError("M = Mstar = 0 gives an empty existence bound")
-    return (8.0 * abs(params.r * params.s) * (M + Mstar) / denom) ** (1.0 / 3.0)
+    return (8.0 * (bounds.M + bounds.Mstar) / (cb.K1 + cb.K2)) ** (1.0 / 3.0)
 
 
 def uniqueness_constant(params: SystemParams, domain: Domain, bounds: Bounds) -> float:
@@ -86,10 +84,7 @@ def certify(params: SystemParams, domain: Domain, bounds: Bounds) -> Certificate
     lip = lipschitz(params, bounds)
     L_max = existence_interval_bound(params, bounds)
     A = uniqueness_constant(params, domain, bounds)
-    K = domain.length**2 / 8.0 * (
-        (bounds.M + bounds.M * bounds.Mstar) / abs(params.r)
-        + (params.alpha * bounds.Mstar + 0.5 * bounds.M**2) / abs(params.s)
-    )
+    cb = ConvergenceBound.from_bounds(params, bounds.M, bounds.Mstar)
     return Certificate(
         params=params,
         domain=domain,
@@ -97,7 +92,7 @@ def certify(params: SystemParams, domain: Domain, bounds: Bounds) -> Certificate
         lipschitz=lip,
         L_max=L_max,
         A=A,
-        equicontinuity=K,
+        equicontinuity=domain.length**2 / 8.0 * (cb.K1 + cb.K2),
         exists_ok=domain.length <= L_max,
         unique_ok=A < 1.0,
     )

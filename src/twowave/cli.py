@@ -5,8 +5,8 @@ from a JSON document (--config); every flag overrides the matching
 config field. Profiles are written as `x,phi,psi` CSV (17 significant
 digits, lossless for doubles) or as a JSON column document.
 
-Exit codes: 0 success, 2 configuration error, 3 solver divergence or
-matching failure, 4 I/O or parse error.
+Exit codes: 0 success, 2 configuration error, 3 solver divergence,
+matching failure or non-convergence, 4 I/O or parse error.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .errors import (
     ConfigurationError,
     DivergenceError,
     MatchingFailureError,
+    NotConvergedError,
     ProfileParseError,
 )
 
@@ -51,7 +52,6 @@ class RunConfig:
     quadrature: str = "simpson"
     method: str = "picard"
     beta_sign: str = "+"
-    printed_beta_formula: bool = False
     start: str = "random"
     seed: int = 0
     format: str = "csv"
@@ -184,17 +184,12 @@ def cmd_solve(cfg: RunConfig) -> int:
             "method": "green",
             "iterations": len(trace),
             "diff_norms": trace,
-            "final_diff": trace[-1] if trace else 0.0,
+            "final_diff": trace[-1],
         }
     else:
         sign = 1.0 if cfg.beta_sign == "+" else -1.0
         state = fixedpoint.solve_picard(
-            params,
-            grid,
-            icfg,
-            cfg.picard_order,
-            beta_sign=sign,
-            printed_beta_formula=cfg.printed_beta_formula,
+            params, grid, icfg, cfg.picard_order, beta_sign=sign
         )
         fields = state.fields
         meta = {
@@ -304,9 +299,6 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--quadrature", choices=["trapezoid", "simpson"])
     p.add_argument("--method", choices=["picard", "green"])
     p.add_argument("--beta-sign", choices=["+", "-"], dest="beta_sign")
-    p.add_argument("--printed-beta-formula", action="store_const", const=True,
-                   default=None, dest="printed_beta_formula",
-                   help="use the circulated (inconsistent) slope formula variant")
     p.add_argument("--start", choices=["zero", "random"])
     p.add_argument("--seed", type=int)
     p.add_argument("--format", choices=["csv", "json"])
@@ -367,7 +359,7 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DivergenceError, MatchingFailureError) as exc:
+    except (DivergenceError, MatchingFailureError, NotConvergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except OSError as exc:

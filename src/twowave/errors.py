@@ -25,6 +25,17 @@ class DivergenceError(RuntimeError):
         super().__init__(f"iteration diverged (non-finite values at step {iteration})")
 
 
+class NotConvergedError(RuntimeError):
+    """An iteration used up its sweeps before the update fell below tol."""
+
+    def __init__(self, iterations: int, last_update: float):
+        self.iterations = iterations
+        self.last_update = last_update
+        super().__init__(
+            f"no convergence after {iterations} sweeps; last update {last_update:.3e}"
+        )
+
+
 class MatchingFailureError(RuntimeError):
     """Boundary matching did not reach the required endpoint residual."""
 

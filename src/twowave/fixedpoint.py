@@ -1,16 +1,18 @@
 """Fixed-point solvers for the two-wave boundary-value problem.
 
-Two routes are provided:
+Both solvers apply one integral primitive, written on the anchored
+coordinate d = x - l1. d is built as linspace(0, L, n), so it depends on
+the length L = l2 - l1 alone and a shifted interval gives the same result:
 
-* Picard successive approximation on the Volterra integral form
-  u(x) = slope*(x - l1) + int_{l1}^{x} (x - t) f(u(t)) dt, with the
-  unknown left-end slopes (beta, gamma) matched so the iterate vanishes
-  at the right endpoint. The double integral of the textbook form is
-  reduced analytically to the single (x - t)-kernel convolution.
+    V(f)(x) = int_{l1}^{x} (x - t) f(t) dt = d int_{l1}^{x} f - int_{l1}^{x} d f.
 
-* Fredholm iteration with the Dirichlet Green kernel,
-  u <- int_{l1}^{l2} G(x, t) f(u(t)) dt, which contracts whenever the
-  certificate constant A is below one.
+* Picard successive approximation on the Volterra form u = slope*d + V(f(u)),
+  the textbook double integral reduced analytically, with the unknown
+  left-end slopes (beta, gamma) matched so the iterate vanishes at l2.
+
+* Fredholm iteration with the Dirichlet Green kernel, which contracts
+  whenever the certificate constant A is below one. Its integral is
+  derived from V: int G f = (d/L) V(f)(l2) - V(f)(x).
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .errors import (
     DivergenceError,
     MatchingFailureError,
     NoRealSolutionError,
+    NotConvergedError,
 )
 from .model import Domain, FieldPair, Grid, SystemParams, eval_f1, eval_f2
 
@@ -104,22 +107,32 @@ def convergence_bound(bound: ConvergenceBound, L: float, n: int) -> tuple[float,
     )
 
 
+def _anchored(grid: Grid) -> np.ndarray:
+    """The anchored coordinate d = x - l1, built from 0 so it depends on L only."""
+    return np.linspace(0.0, grid.domain.length, grid.n, dtype=grid.nodes.dtype)
+
+
+def _volterra(f: np.ndarray, d: np.ndarray, h: float, rule: str) -> np.ndarray:
+    """V(f) = int_{l1}^{x_k} (x_k - t) f(t) dt = d_k int f - int d f at every node."""
+    out = d * quadrature.cumulative(f, h, rule)
+    out -= quadrature.cumulative(d * f, h, rule)
+    return out
+
+
+def _green(f: np.ndarray, d: np.ndarray, h: float, rule: str) -> np.ndarray:
+    """int_{l1}^{l2} G(x, t) f(t) dt = (d/L) V(f)(l2) - V(f)(x) at every node."""
+    v = _volterra(f, d, h, rule)
+    return np.subtract(d * (v[-1] / d[-1]), v, out=v)
+
+
 def initial_state(grid: Grid, consts: MatchingConstants) -> PicardState:
     """Iterate 0: the straight lines beta*(x - l1), gamma*(x - l1)."""
-    ramp = grid.nodes - grid.domain.l1
+    d = _anchored(grid)
     return PicardState(
         n=0,
-        fields=FieldPair(consts.beta * ramp, consts.gamma * ramp),
+        fields=FieldPair(consts.beta * d, consts.gamma * d),
         constants=consts,
     )
-
-
-def _volterra_apply(f: np.ndarray, grid: Grid, rule: str) -> np.ndarray:
-    """int_{l1}^{x_k} (x_k - t) f(t) dt at every node, via two running integrals."""
-    x = grid.nodes
-    c0 = quadrature.cumulative(f, grid.h, rule)
-    c1 = quadrature.cumulative(x * f, grid.h, rule)
-    return x * c0 - c1
 
 
 def picard_step(
@@ -127,11 +140,12 @@ def picard_step(
 ) -> PicardState:
     """Advance the Picard recursion by one iterate."""
     phi, psi = state.fields.phi, state.fields.psi
-    ramp = grid.nodes - grid.domain.l1
-    f1 = eval_f1(params, phi, psi)
-    f2 = eval_f2(params, phi, psi)
-    new_phi = state.constants.beta * ramp + _volterra_apply(f1, grid, cfg.quadrature)
-    new_psi = state.constants.gamma * ramp + _volterra_apply(f2, grid, cfg.quadrature)
+    b, g = state.constants.beta, state.constants.gamma
+    d, h, rule = _anchored(grid), grid.h, cfg.quadrature
+    # Overflow in a blowing-up iterate surfaces as DivergenceError below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        new_phi = b * d + _volterra(eval_f1(params, phi, psi), d, h, rule)
+        new_psi = g * d + _volterra(eval_f2(params, phi, psi), d, h, rule)
     if not (np.isfinite(new_phi).all() and np.isfinite(new_psi).all()):
         raise DivergenceError(state.n + 1)
     diff = max(
@@ -219,7 +233,6 @@ def solve_picard(
     order: int,
     constants: MatchingConstants | None = None,
     beta_sign: float = 1.0,
-    printed_beta_formula: bool = False,
     newton_max_iter: int = 50,
     newton_tol: float = 1e-11,
 ) -> PicardState:
@@ -242,10 +255,7 @@ def solve_picard(
         )
         return np.array([st.fields.phi[-1], st.fields.psi[-1]])
 
-    guess = match_constants_order1(
-        params, domain=grid.domain, beta_sign=beta_sign,
-        printed_beta_formula=printed_beta_formula,
-    )
+    guess = match_constants_order1(params, domain=grid.domain, beta_sign=beta_sign)
     v = np.array([guess.beta, guess.gamma])
     fv = endpoint_map(v)
     res = float(np.abs(fv).sum())
@@ -280,20 +290,6 @@ def solve_picard(
     )
 
 
-def _green_apply(f: np.ndarray, grid: Grid, rule: str) -> np.ndarray:
-    """int_{l1}^{l2} G(x, t) f(t) dt at every node.
-
-    The kernel is split at its diagonal kink so each running integrand is
-    smooth: G(x,t) = (t-a)(b-x)/(b-a) left of x and (x-a)(b-t)/(b-a)
-    right of it.
-    """
-    x = grid.nodes
-    a, b = grid.domain.l1, grid.domain.l2
-    left = quadrature.cumulative((x - a) * f, grid.h, rule)
-    right = quadrature.cumulative((b - x) * f, grid.h, rule)
-    return ((b - x) * left + (x - a) * (right[-1] - right)) / (b - a)
-
-
 def green_kernel_iterate(
     params: SystemParams, grid: Grid, start: FieldPair, cfg: IterConfig
 ) -> tuple[FieldPair, list[float]]:
@@ -301,14 +297,16 @@ def green_kernel_iterate(
 
     Returns the final pair and the trace of combined successive
     sup-norm differences ||dphi|| + ||dpsi|| (the norm the contraction
-    certificate bounds). Stops when the difference drops below cfg.tol
-    or after cfg.max_iter applications.
+    certificate bounds) once the difference drops below cfg.tol. Raises
+    NotConvergedError if cfg.max_iter applications do not get there.
     """
+    d = _anchored(grid)
     phi, psi = start.phi, start.psi
     trace: list[float] = []
     for k in range(cfg.max_iter):
-        new_phi = _green_apply(eval_f1(params, phi, psi), grid, cfg.quadrature)
-        new_psi = _green_apply(eval_f2(params, phi, psi), grid, cfg.quadrature)
+        with np.errstate(over="ignore", invalid="ignore"):
+            new_phi = _green(eval_f1(params, phi, psi), d, grid.h, cfg.quadrature)
+            new_psi = _green(eval_f2(params, phi, psi), d, grid.h, cfg.quadrature)
         if not (np.isfinite(new_phi).all() and np.isfinite(new_psi).all()):
             raise DivergenceError(k + 1)
         diff = float(np.max(np.abs(new_phi - phi))) + float(
@@ -317,5 +315,5 @@ def green_kernel_iterate(
         trace.append(diff)
         phi, psi = new_phi, new_psi
         if diff < cfg.tol:
-            break
-    return FieldPair(phi, psi), trace
+            return FieldPair(phi, psi), trace
+    raise NotConvergedError(len(trace), trace[-1])

@@ -67,8 +67,7 @@ def _cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:
         out[1] = h * 0.5 * (y[0] + y[1])
     # Remaining odd nodes: even-count prefix plus one Simpson 3/8 segment.
     if n >= 4:
-        k = np.arange(3, n, 2)
-        out[k] = out[k - 3] + 3.0 * h / 8.0 * (
-            y[k - 3] + 3.0 * y[k - 2] + 3.0 * y[k - 1] + y[k]
+        out[3::2] = out[0:n - 3:2] + 3.0 * h / 8.0 * (
+            y[0:n - 3:2] + 3.0 * y[1:n - 2:2] + 3.0 * y[2:n - 1:2] + y[3::2]
         )
     return out

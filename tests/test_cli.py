@@ -98,6 +98,20 @@ class TestSolveCommand:
         _, phi, psi = read_profile(str(out))
         assert max(np.abs(phi).max(), np.abs(psi).max()) < 1e-10
 
+    def test_green_unconverged_exits_3(self, tmp_path, capsys):
+        out = tmp_path / "g.csv"
+        assert run_cli("solve", "--method", "green", "--l1", 0, "--l2", 3,
+                       "--out", out) == 3
+        assert "after 50 sweeps" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_green_converges_with_more_sweeps(self, tmp_path):
+        out = tmp_path / "g.csv"
+        assert run_cli("solve", "--method", "green", "--l1", 0, "--l2", 3,
+                       "--max-iter", 2000, "--out", out) == 0
+        meta = json.loads((tmp_path / "g.csv.meta.json").read_text())
+        assert 50 < meta["iterations"] < 2000 and meta["final_diff"] < 1e-12
+
     def test_json_format(self, tmp_path):
         out = tmp_path / "g.json"
         run_cli("solve", "--method", "green", "--l1", 0, "--l2", 1, "--n", 101,

@@ -29,6 +29,7 @@ from twowave.errors import (
     ConfigurationError,
     DivergenceError,
     NoRealSolutionError,
+    NotConvergedError,
 )
 
 P1 = SystemParams(1.0, 1.0, 1.0)
@@ -155,7 +156,9 @@ class TestPicardStep:
         # is the boundary tail |phi(l1)| = sqrt(2)*1.5*sech^2(5) ~ 3.9e-4
         assert nxt.diff_norms[-1] < 5e-4
 
+    @pytest.mark.filterwarnings("error")
     def test_divergence_detection(self):
+        # overflow must surface only as DivergenceError, never as a warning
         g = unit_grid(101)
         huge = FieldPair(np.full(101, 1e200), np.full(101, 1e200))
         state = PicardState(n=0, fields=huge, constants=MatchingConstants(0.0, 0.0))
@@ -234,6 +237,19 @@ class TestSolvePicard:
         gap23 = np.max(np.abs(sols[2].fields.phi - sols[1].fields.phi))
         assert gap23 < gap12
 
+    @pytest.mark.parametrize("order", [1, 3])
+    def test_translation_invariance(self, order):
+        # L = 1 is exact for every l1 below, so the anchored coordinate and
+        # with it the matched slopes and fields are the same bit for bit
+        ref = solve_picard(P1, unit_grid(20001), CFG, order)
+        for l1 in (10.0, 100.0, 1000.0):
+            st = solve_picard(P1, Grid.uniform(Domain(l1, l1 + 1.0), 20001), CFG, order)
+            assert (st.constants.beta, st.constants.gamma) == (
+                ref.constants.beta, ref.constants.gamma
+            )
+            assert np.array_equal(st.fields.phi, ref.fields.phi)
+            assert np.array_equal(st.fields.psi, ref.fields.psi)
+
 
 class TestGreenKernelIteration:
     def test_zero_start_stays_zero(self):
@@ -265,3 +281,32 @@ class TestGreenKernelIteration:
         _, trace = green_kernel_iterate(P1, g, start, IterConfig(30, 1e-13, "simpson"))
         for a, b in zip(trace, trace[1:]):
             assert b <= 0.25 * a + 1e-8
+
+    def test_translation_invariance(self):
+        rng = np.random.default_rng(2)
+        start = FieldPair(rng.uniform(-1, 1, 20001), rng.uniform(-1, 1, 20001))
+        cfg = IterConfig(60, 1e-13, "simpson")
+        ref, ref_trace = green_kernel_iterate(P1, unit_grid(20001), start, cfg)
+        for l1 in (10.0, 100.0, 1000.0):
+            g = Grid.uniform(Domain(l1, l1 + 1.0), 20001)
+            final, trace = green_kernel_iterate(P1, g, start, cfg)
+            assert trace == ref_trace
+            assert np.array_equal(final.phi, ref.phi)
+            assert np.array_equal(final.psi, ref.psi)
+
+    def test_unconverged_run_raises(self):
+        # on [0, 3] the sweep contracts too slowly for 50 sweeps to reach 1e-12
+        g = Grid.uniform(Domain(0.0, 3.0), 2001)
+        rng = np.random.default_rng(0)
+        start = FieldPair(rng.uniform(-1, 1, g.n), rng.uniform(-1, 1, g.n))
+        with pytest.raises(NotConvergedError) as err:
+            green_kernel_iterate(P1, g, start, IterConfig(50, 1e-12, "simpson"))
+        assert err.value.iterations == 50
+        assert 1e-12 < err.value.last_update < 1e-2
+
+    @pytest.mark.filterwarnings("error")
+    def test_divergence_detection(self):
+        huge = FieldPair(np.full(101, 1e200), np.full(101, 1e200))
+        with pytest.raises(DivergenceError) as err:
+            green_kernel_iterate(P1, unit_grid(101), huge, CFG)
+        assert err.value.iteration == 1

@@ -67,6 +67,38 @@ def test_convergence_orders_on_sine():
     assert errs["simpson"][0] / errs["simpson"][1] == pytest.approx(16.0, rel=0.1)
 
 
+def _fancy_index_cumulative_simpson(y, h):
+    # The earlier implementation, which patched the odd nodes through
+    # index arrays; kept as the reference the strided form must match.
+    n = y.size
+    out = np.zeros(n, dtype=y.dtype)
+    if n >= 3:
+        seg = h / 3.0 * (y[0:n - 2:2] + 4.0 * y[1:n - 1:2] + y[2:n:2])
+        out[2::2] = np.cumsum(seg)
+    if n >= 4:
+        out[1] = h * (9.0 * y[0] + 19.0 * y[1] - 5.0 * y[2] + y[3]) / 24.0
+    elif n == 3:
+        out[1] = h * (5.0 * y[0] + 8.0 * y[1] - y[2]) / 12.0
+    else:
+        out[1] = h * 0.5 * (y[0] + y[1])
+    if n >= 4:
+        k = np.arange(3, n, 2)
+        out[k] = out[k - 3] + 3.0 * h / 8.0 * (
+            y[k - 3] + 3.0 * y[k - 2] + 3.0 * y[k - 1] + y[k]
+        )
+    return out
+
+
+@pytest.mark.parametrize("n", list(range(2, 10)) + [2001])
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_cumulative_simpson_matches_fancy_index_reference(n, dtype):
+    y = np.random.default_rng(n).normal(size=n).astype(dtype)
+    h = dtype(0.37)
+    got = quadrature.cumulative(y, h, "simpson")
+    assert got.dtype == dtype
+    assert np.array_equal(got, _fancy_index_cumulative_simpson(y, h))
+
+
 def test_preserves_longdouble():
     y = np.linspace(0, 1, 11).astype(np.longdouble)
     out = quadrature.cumulative(y, np.longdouble(0.1), "simpson")
