@@ -28,11 +28,11 @@ from twowave import (
     sample_closed_form,
     solve_picard,
 )
+from twowave.cli import write_profile
 
 
 def save(path: pathlib.Path, x, phi, psi) -> None:
-    rows = np.column_stack([x, phi, psi])
-    np.savetxt(path, rows, delimiter=",", header="x,phi,psi", comments="", fmt="%.17g")
+    write_profile(path, x, phi, psi)
     print(f"wrote {path} ({len(x)} rows)")
 
 

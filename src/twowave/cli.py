@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Commands: exact, series, solve, certify, verify. Configuration can come
-from a JSON document (--config); every flag overrides the matching
-config field. Profiles are written as `x,phi,psi` CSV (17 significant
-digits, lossless for doubles) or as a JSON column document.
+Commands: exact, series, solve, certify, verify. `RunConfig`'s fields are
+the only schema: each is one flag and one key of the `--config` JSON
+document (flags win), and its type and choices are checked once, in
+`RunConfig`. Profiles are `x,phi,psi` CSV (17 significant digits,
+lossless for doubles) or a JSON column document.
 
 Exit codes: 0 success, 2 configuration error, 3 solver divergence,
 matching failure or non-convergence, 4 I/O or parse error.
@@ -15,7 +16,7 @@ import argparse
 import dataclasses
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .errors import (
     NotConvergedError,
     ProfileParseError,
 )
+from .quadrature import RULES
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -34,28 +36,46 @@ EXIT_SOLVER = 3
 EXIT_IO = 4
 
 
+def _setting(default, help: str, *, choices: tuple = (), flag: str | None = None):
+    """A RunConfig field; its flag's type is type(default)."""
+    return field(default=default, metadata={"help": help, "choices": choices, "flag": flag})
+
+
 @dataclass
 class RunConfig:
-    """One run's worth of settings; mirrors the CLI flags."""
+    """One run's worth of settings: the CLI flags and the config keys."""
 
-    r: float = 1.0
-    s: float = 1.0
-    alpha: float = 1.0
-    l1: float = -10.0
-    l2: float = 10.0
-    n: int = 2001
-    c2: float = 0.0
-    series_order: int = 0
-    picard_order: int = 1
-    max_iter: int = 50
-    tol: float = 1e-12
-    quadrature: str = "simpson"
-    method: str = "picard"
-    beta_sign: str = "+"
-    start: str = "random"
-    seed: int = 0
-    format: str = "csv"
-    out: str = "-"
+    r: float = _setting(1.0, "coefficient of phi''")
+    s: float = _setting(1.0, "coefficient of psi''")
+    alpha: float = _setting(1.0, "coefficient of psi in the second equation")
+    l1: float = _setting(-10.0, "left end of the interval")
+    l2: float = _setting(10.0, "right end of the interval")
+    n: int = _setting(2001, "number of grid nodes")
+    c2: float = _setting(0.0, "translation of the exact pair")
+    series_order: int = _setting(0, "series truncation order (0 or 1)", flag="--order")
+    picard_order: int = _setting(1, "number of Picard iterates")
+    max_iter: int = _setting(50, "iteration limit")
+    tol: float = _setting(1e-12, "convergence tolerance")
+    quadrature: str = _setting("simpson", "quadrature rule", choices=RULES)
+    method: str = _setting("picard", "solver", choices=("picard", "green"))
+    beta_sign: str = _setting("+", "sign of the matched slope beta", choices=("+", "-"))
+    start: str = _setting("random", "start of the Green iteration", choices=("zero", "random"))
+    seed: int = _setting(0, "seed of the random start")
+    format: str = _setting("csv", "profile format", choices=("csv", "json"))
+    out: str = _setting("-", "output path ('-' for stdout)")
+
+    def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value, kind, choices = getattr(self, f.name), type(f.default), f.metadata["choices"]
+            if kind is float and type(value) is int:
+                try:
+                    value = float(value)
+                except OverflowError:
+                    raise ConfigurationError(f"{f.name} is too large for a float") from None
+                setattr(self, f.name, value)
+            if type(value) is not kind or (choices and value not in choices):
+                expected = f"one of {choices}" if choices else kind.__name__
+                raise ConfigurationError(f"{f.name} must be {expected}, got {value!r}")
 
     def params(self) -> model.SystemParams:
         return model.SystemParams(self.r, self.s, self.alpha)
@@ -72,54 +92,38 @@ class RunConfig:
         return fixedpoint.IterConfig(self.max_iter, self.tol, self.quadrature)
 
 
-def _load_config(path: str) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ConfigurationError("config document must be a JSON object")
-    known = {f.name for f in dataclasses.fields(RunConfig)}
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
-    return doc
+_SETTINGS = dataclasses.fields(RunConfig)
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    values = _load_config(args.config) if getattr(args, "config", None) else {}
-    for f in dataclasses.fields(RunConfig):
-        flag = getattr(args, f.name, None)
-        if flag is not None:
-            values[f.name] = flag
-    try:
-        cfg = RunConfig(**values)
-    except TypeError as exc:
-        raise ConfigurationError(str(exc)) from exc
-    if cfg.format not in ("csv", "json"):
-        raise ConfigurationError(f"unknown format {cfg.format!r}")
-    if cfg.method not in ("picard", "green"):
-        raise ConfigurationError(f"unknown method {cfg.method!r}")
-    if cfg.beta_sign not in ("+", "-"):
-        raise ConfigurationError("beta-sign must be '+' or '-'")
-    if cfg.start not in ("zero", "random"):
-        raise ConfigurationError("start must be 'zero' or 'random'")
-    if cfg.series_order not in (0, 1):
-        raise ConfigurationError("series order must be 0 or 1")
-    return cfg
+    values = {}
+    if args.config:
+        with open(args.config, encoding="utf-8") as fh:
+            values = json.load(fh)
+        if not isinstance(values, dict):
+            raise ConfigurationError("config document must be a JSON object")
+        unknown = values.keys() - {f.name for f in _SETTINGS}
+        if unknown:
+            raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
+    values.update((f.name, getattr(args, f.name)) for f in _SETTINGS if hasattr(args, f.name))
+    return RunConfig(**values)
 
 
-def _render_profile(x, phi, psi, fmt: str) -> str:
+_CSV_HEADER = "x,phi,psi"
+_CSV_ROW = "{:.17g},{:.17g},{:.17g}\n"
+
+
+def write_profile(path, x, phi, psi, fmt: str = "csv") -> None:
+    """Write x, phi, psi arrays as `x,phi,psi` CSV or as a JSON column document."""
+    cols = (x.tolist(), phi.tolist(), psi.tolist())
     if fmt == "csv":
-        lines = ["x,phi,psi"]
-        lines.extend(
-            f"{xi:.17g},{pi:.17g},{qi:.17g}" for xi, pi, qi in zip(x, phi, psi)
-        )
-        return "\n".join(lines) + "\n"
-    doc = {"x": list(map(float, x)), "phi": list(map(float, phi)),
-           "psi": list(map(float, psi))}
-    return json.dumps(doc, indent=2) + "\n"
+        text = _CSV_HEADER + "\n" + "".join(map(_CSV_ROW.format, *cols))
+    else:
+        text = json.dumps(dict(zip(("x", "phi", "psi"), cols)), indent=2) + "\n"
+    _write_text(path, text)
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_text(path, text: str) -> None:
     if path == "-":
         sys.stdout.write(text)
         return
@@ -128,46 +132,27 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _write_json(path: str, doc) -> None:
-    _write_text(path, json.dumps(doc, indent=2, default=_jsonable) + "\n")
+    _write_text(path, json.dumps(doc, indent=2) + "\n")
 
 
-def _jsonable(obj):
-    if dataclasses.is_dataclass(obj):
-        return dataclasses.asdict(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"cannot serialize {type(obj)!r}")
-
-
-def cmd_exact(cfg: RunConfig) -> int:
+def cmd_sample(cfg: RunConfig, args: argparse.Namespace) -> int:
     grid = cfg.grid()
-    fields = closed_form.sample_closed_form(
-        "exact", grid, closed_form.ExactSolutionParams(cfg.c2)
-    )
-    print(
-        "note: exact pair uses the ordering phi = sqrt(2)*psi "
-        "(phi amplitude 3/sqrt(2), psi amplitude 3/2); the swapped "
-        "ordering does not satisfy the coupled system.",
-        file=sys.stderr,
-    )
-    _write_text(cfg.out, _render_profile(grid.nodes, fields.phi, fields.psi, cfg.format))
+    if args.kind == "exact":
+        params = closed_form.ExactSolutionParams(cfg.c2)
+        print(
+            "note: exact pair uses the ordering phi = sqrt(2)*psi "
+            "(phi amplitude 3/sqrt(2), psi amplitude 3/2); the swapped "
+            "ordering does not satisfy the coupled system.",
+            file=sys.stderr,
+        )
+    else:
+        params = closed_form.SeriesParams(cfg.alpha, cfg.s, cfg.series_order)
+    fields = closed_form.sample_closed_form(args.kind, grid, params)
+    write_profile(cfg.out, grid.nodes, fields.phi, fields.psi, cfg.format)
     return EXIT_OK
 
 
-def cmd_series(cfg: RunConfig, kind: str) -> int:
-    grid = cfg.grid()
-    fields = closed_form.sample_closed_form(
-        kind, grid, closed_form.SeriesParams(cfg.alpha, cfg.s, cfg.series_order)
-    )
-    _write_text(cfg.out, _render_profile(grid.nodes, fields.phi, fields.psi, cfg.format))
-    return EXIT_OK
-
-
-def _sidecar_path(out: str) -> str | None:
-    return None if out == "-" else out + ".meta.json"
-
-
-def cmd_solve(cfg: RunConfig) -> int:
+def cmd_solve(cfg: RunConfig, args: argparse.Namespace) -> int:
     params = cfg.params()
     grid = cfg.grid()
     icfg = cfg.iter_config()
@@ -200,17 +185,16 @@ def cmd_solve(cfg: RunConfig) -> int:
             "diff_norms": list(state.diff_norms),
             "endpoint_residual": fixedpoint.endpoint_residual(state),
         }
-    _write_text(cfg.out, _render_profile(grid.nodes, fields.phi, fields.psi, cfg.format))
-    sidecar = _sidecar_path(cfg.out)
-    if sidecar is None:
+    write_profile(cfg.out, grid.nodes, fields.phi, fields.psi, cfg.format)
+    if cfg.out == "-":
         print(json.dumps(meta), file=sys.stderr)
     else:
-        _write_json(sidecar, meta)
+        _write_json(cfg.out + ".meta.json", meta)
     return EXIT_OK
 
 
-def cmd_certify(cfg: RunConfig, M: float, Mstar: float) -> int:
-    cert = analysis.certify(cfg.params(), cfg.domain(), model.Bounds(M, Mstar))
+def cmd_certify(cfg: RunConfig, args: argparse.Namespace) -> int:
+    cert = analysis.certify(cfg.params(), cfg.domain(), model.Bounds(args.M, args.Mstar))
     _write_json(cfg.out, cert.to_dict())
     return EXIT_OK
 
@@ -229,30 +213,30 @@ def read_profile(path: str):
             raise ProfileParseError(f"bad JSON profile: {exc}") from exc
         if not (x.ndim == 1 and x.shape == phi.shape == psi.shape):
             raise ProfileParseError("x, phi, psi columns must have equal length")
-        return x, phi, psi
-    rows = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        if lineno == 1 and line.lower().replace(" ", "") == "x,phi,psi":
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise ProfileParseError(f"expected 3 comma-separated values, got {len(parts)}",
-                                    line=lineno)
-        try:
-            rows.append(tuple(float(v) for v in parts))
-        except ValueError as exc:
-            raise ProfileParseError(f"bad number: {exc}", line=lineno)
-    if len(rows) < 3:
+    else:
+        rows = []
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            line = line.strip()
+            if not line:
+                continue
+            if lineno == 1 and line.lower().replace(" ", "") == _CSV_HEADER:
+                continue
+            parts = line.split(",")
+            if len(parts) != 3:
+                raise ProfileParseError(f"expected 3 comma-separated values, got {len(parts)}",
+                                        line=lineno)
+            try:
+                rows.append(tuple(float(v) for v in parts))
+            except ValueError as exc:
+                raise ProfileParseError(f"bad number: {exc}", line=lineno)
+        x, phi, psi = np.asarray(rows, dtype=float).reshape(-1, 3).T
+    if len(x) < 3:
         raise ProfileParseError("profile needs at least 3 rows")
-    arr = np.asarray(rows, dtype=float)
-    return arr[:, 0], arr[:, 1], arr[:, 2]
+    return x, phi, psi
 
 
-def cmd_verify(cfg: RunConfig, input_profile: str) -> int:
-    x, phi, psi = read_profile(input_profile)
+def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
+    x, phi, psi = read_profile(args.input_profile)
     n = x.size
     h = (x[-1] - x[0]) / (n - 1)
     expected = x[0] + h * np.arange(n)
@@ -266,7 +250,7 @@ def cmd_verify(cfg: RunConfig, input_profile: str) -> int:
         rule = "trapezoid"
     r1, r2 = model.residual(params, grid, fields)
     report = {
-        "file": input_profile,
+        "file": args.input_profile,
         "n": int(n),
         "domain": [float(x[0]), float(x[-1])],
         "quadrature": rule,
@@ -282,29 +266,6 @@ def cmd_verify(cfg: RunConfig, input_profile: str) -> int:
     return EXIT_OK
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config document; flags override its fields")
-    p.add_argument("--r", type=float, dest="r")
-    p.add_argument("--s", type=float, dest="s")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--l1", type=float)
-    p.add_argument("--l2", type=float)
-    p.add_argument("--n", type=int)
-    p.add_argument("--c2", type=float)
-    p.add_argument("--order", type=int, dest="series_order",
-                   help="series truncation order (0 or 1)")
-    p.add_argument("--picard-order", type=int, dest="picard_order")
-    p.add_argument("--max-iter", type=int, dest="max_iter")
-    p.add_argument("--tol", type=float)
-    p.add_argument("--quadrature", choices=["trapezoid", "simpson"])
-    p.add_argument("--method", choices=["picard", "green"])
-    p.add_argument("--beta-sign", choices=["+", "-"], dest="beta_sign")
-    p.add_argument("--start", choices=["zero", "random"])
-    p.add_argument("--seed", type=int)
-    p.add_argument("--format", choices=["csv", "json"])
-    p.add_argument("--out", help="output path ('-' for stdout)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="twowave",
@@ -313,58 +274,54 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("exact", help="sample the exact alpha=1 solution")
-    _add_common_flags(p)
+    p.set_defaults(func=cmd_sample, kind="exact")
 
     p = sub.add_parser("series", help="sample a bright/dark asymptotic series")
     p.add_argument("kind", choices=["bright", "dark"])
-    _add_common_flags(p)
+    p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("solve", help="solve the BVP by Picard or Green iteration")
-    _add_common_flags(p)
+    p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("certify", help="emit an existence/uniqueness certificate")
     p.add_argument("--M", type=float, required=True, help="sup bound for |phi|")
     p.add_argument("--Mstar", type=float, required=True, help="sup bound for |psi|")
-    _add_common_flags(p)
+    p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("verify", help="cross-check a profile file")
     p.add_argument("input_profile")
-    _add_common_flags(p)
+    p.set_defaults(func=cmd_verify)
 
+    for p in sub.choices.values():
+        p.add_argument("--config", help="JSON config document; flags override its fields")
+        for f in _SETTINGS:
+            choices = f.metadata["choices"]
+            p.add_argument(f.metadata["flag"] or "--" + f.name.replace("_", "-"),
+                           dest=f.name, type=type(f.default), default=argparse.SUPPRESS,
+                           metavar="{" + ",".join(choices) + "}" if choices else None,
+                           help=f"{f.metadata['help']} (default: {f.default})")
     return parser
 
 
-def run(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    cfg = build_config(args)
-    if args.command == "exact":
-        return cmd_exact(cfg)
-    if args.command == "series":
-        return cmd_series(cfg, args.kind)
-    if args.command == "solve":
-        return cmd_solve(cfg)
-    if args.command == "certify":
-        return cmd_certify(cfg, args.M, args.Mstar)
-    if args.command == "verify":
-        return cmd_verify(cfg, args.input_profile)
-    raise AssertionError(f"unhandled command {args.command}")
+# Exception -> exit code; json.JSONDecodeError is a malformed --config document.
+_EXIT_CODES = {
+    ConfigurationError: EXIT_CONFIG,
+    json.JSONDecodeError: EXIT_CONFIG,
+    DivergenceError: EXIT_SOLVER,
+    MatchingFailureError: EXIT_SOLVER,
+    NotConvergedError: EXIT_SOLVER,
+    ProfileParseError: EXIT_IO,
+    OSError: EXIT_IO,
+}
 
 
 def main(argv=None) -> int:
     try:
-        return run(argv)
-    except ProfileParseError as exc:
+        args = build_parser().parse_args(argv)
+        return args.func(build_config(args), args)
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (DivergenceError, MatchingFailureError, NotConvergedError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

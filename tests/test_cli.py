@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from twowave.cli import main, read_profile
+from twowave.cli import main, read_profile, write_profile
 from twowave.errors import ProfileParseError
 
 
@@ -179,6 +179,15 @@ class TestVerifyCommand:
         with pytest.raises(ProfileParseError, match="line 3"):
             read_profile(str(prof))
 
+    @pytest.mark.parametrize("doc", [
+        {"x": [], "phi": [], "psi": []},
+        {"x": [0.0, 1.0], "phi": [0.0, 0.0], "psi": [0.0, 0.0]},
+    ])
+    def test_short_json_profile_rejected(self, tmp_path, doc):
+        prof = tmp_path / "short.json"
+        prof.write_text(json.dumps(doc))
+        assert run_cli("verify", prof) == 4
+
     def test_missing_file(self):
         assert run_cli("verify", "/does/not/exist.csv") == 4
 
@@ -199,3 +208,61 @@ class TestConfigDocument:
 
     def test_even_n_with_simpson_rejected(self):
         assert run_cli("exact", "--n", 10) == 2
+
+    @pytest.mark.parametrize("command, doc, message", [
+        ("exact", '{"n": 5.5}', "error: n must be int, got 5.5"),
+        ("exact", '{"n": "5"}', "error: n must be int, got '5'"),
+        ("exact", '{"l1": "a"}', "error: l1 must be float, got 'a'"),
+        ("exact", '{"n": true}', "error: n must be int, got True"),
+        ("solve", '{"method": "newton"}', "error: method must be one of"),
+        ("verify", '{"quadrature": "gauss"}', "error: quadrature must be one of"),
+        ("exact", '{"n": 5,', "error: "),
+        pytest.param("exact", '{"l1": 1' + "0" * 400 + "}", "error: l1 is too large for a float",
+                     id="exact-huge-int-for-float"),
+    ])
+    def test_bad_document_exits_2(self, tmp_path, capsys, command, doc, message):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(doc)
+        args = [command, "--config", cfgfile, "--out", tmp_path / "out"]
+        if command == "verify":
+            prof = tmp_path / "p.csv"
+            prof.write_text("x,phi,psi\n0,0,0\n0.5,0,0\n1,0,0\n")
+            args.insert(1, prof)
+        assert run_cli(*args) == 2
+        assert capsys.readouterr().err.startswith(message)
+
+
+class TestProfileFormat:
+    def test_csv_matches_reference_format(self, tmp_path):
+        vals = np.array([-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.1])
+        x, phi, psi = vals, vals[::-1].copy(), np.roll(vals, 2)
+        out = tmp_path / "p.csv"
+        write_profile(str(out), x, phi, psi)
+        ref = "x,phi,psi\n" + "".join(
+            f"{a:.17g},{b:.17g},{c:.17g}\n" for a, b, c in zip(x, phi, psi)
+        )
+        assert out.read_bytes() == ref.encode()
+        for got, want in zip(read_profile(str(out)), (x, phi, psi)):
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("text", [
+        "0,1,2\n0.5,3,4\n1,5,6\n",
+        "x,phi,psi\n\n0,1,2\n   \n0.5,3,4\n\n1,5,6\n\n",
+    ])
+    def test_headerless_and_blank_lines(self, tmp_path, text):
+        prof = tmp_path / "p.csv"
+        prof.write_text(text)
+        x, phi, psi = read_profile(str(prof))
+        assert x.tolist() == [0.0, 0.5, 1.0]
+        assert phi.tolist() == [1.0, 3.0, 5.0] and psi.tolist() == [2.0, 4.0, 6.0]
+
+    @pytest.mark.parametrize("bad, message", [
+        ("0.1,oops,0", "line 5: bad number: could not convert string to float: 'oops'"),
+        ("0.1,1", "line 5: expected 3 comma-separated values, got 2"),
+    ])
+    def test_bad_row_after_blank_lines(self, tmp_path, bad, message):
+        prof = tmp_path / "p.csv"
+        prof.write_text(f"x,phi,psi\n0,0,0\n\n  \n{bad}\n0.2,0,0\n")
+        with pytest.raises(ProfileParseError) as info:
+            read_profile(str(prof))
+        assert str(info.value).startswith(message)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from twowave import (
     Bounds,
@@ -73,10 +73,18 @@ class TestRightHandSides:
         assert eval_f2(SystemParams(s=-1.0, alpha=2.0), 1.0, 1.0) == pytest.approx(-1.5)
 
     @given(a=finite, phi=finite, psi=finite)
+    @example(a=77270.0, phi=309149.0, psi=0.99999)
+    @example(a=6.354477348262163e-161, phi=6.354477348262163e-161, psi=0.0)
     def test_f1_linear_in_phi(self, a, phi, psi):
         p = SystemParams(r=2.0, s=1.0, alpha=1.0)
+        # a*phi - a*phi*psi cancels when psi ~ 1: float64 rounding of the two
+        # terms bounds what either side can agree to, plus the absolute
+        # rounding of results that underflow into the subnormal range.
+        fin = np.finfo(float)
+        bound = (4 * fin.eps * (abs(a * phi) + abs(a * phi * psi)) / abs(p.r)
+                 + 4 * fin.smallest_subnormal * (1 + abs(a) + abs(psi)))
         assert eval_f1(p, a * phi, psi) == pytest.approx(
-            a * eval_f1(p, phi, psi), rel=1e-12, abs=1e-6
+            a * eval_f1(p, phi, psi), rel=1e-12, abs=bound
         )
 
     @given(phi=finite, psi=finite)
