@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -54,8 +55,9 @@ class RunConfig:
     c2: float = _setting(0.0, "translation of the exact pair")
     series_order: int = _setting(0, "series truncation order (0 or 1)", flag="--order")
     picard_order: int = _setting(1, "number of Picard iterates")
-    max_iter: int = _setting(50, "iteration limit")
-    tol: float = _setting(1e-12, "convergence tolerance")
+    max_iter: int = _setting(50, "sweep limit of the Green iteration (Picard runs exactly "
+                             "--picard-order iterates)")
+    tol: float = _setting(1e-12, "update norm that ends the Green iteration")
     quadrature: str = _setting("simpson", "quadrature rule", choices=RULES)
     method: str = _setting("picard", "solver", choices=("picard", "green"))
     beta_sign: str = _setting("+", "sign of the matched slope beta", choices=("+", "-"))
@@ -266,7 +268,13 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument tree, built once per process.
+
+    Parsing leaves it unchanged and every setting defaults to SUPPRESS, so
+    no value carries over from one `main` call to the next.
+    """
     parser = argparse.ArgumentParser(
         prog="twowave",
         description="Two-wave soliton boundary-value problem toolkit",

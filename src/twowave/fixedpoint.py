@@ -1,8 +1,9 @@
 """Fixed-point solvers for the two-wave boundary-value problem.
 
-Both solvers apply one integral primitive, written on the anchored
-coordinate d = x - l1. d is built as linspace(0, L, n), so it depends on
-the length L = l2 - l1 alone and a shifted interval gives the same result:
+Both solvers apply one sweep, u <- slope*d + V(f(u)), built on one integral
+primitive written on the anchored coordinate d = x - l1. d is built as
+linspace(0, L, n), so it depends on the length L = l2 - l1 alone and a
+shifted interval gives the same result:
 
     V(f)(x) = int_{l1}^{x} (x - t) f(t) dt = d int_{l1}^{x} f - int_{l1}^{x} d f.
 
@@ -11,8 +12,9 @@ the length L = l2 - l1 alone and a shifted interval gives the same result:
   left-end slopes (beta, gamma) matched so the iterate vanishes at l2.
 
 * Fredholm iteration with the Dirichlet Green kernel, which contracts
-  whenever the certificate constant A is below one. Its integral is
-  derived from V: int G f = (d/L) V(f)(l2) - V(f)(x).
+  whenever the certificate constant A is below one. Its fixed-point map
+  u = -int G f(u) = V(f) - (d/L) V(f)(l2) is the Picard sweep with the
+  slopes -V(f)(l2)/L, which make each field vanish at l2.
 """
 
 from __future__ import annotations
@@ -33,6 +35,11 @@ from .errors import (
 from .model import Domain, FieldPair, Grid, SystemParams, eval_f1, eval_f2
 
 
+# Newton matching succeeds once |phi(l2)| + |psi(l2)| <= NEWTON_TOL.
+NEWTON_MAX_ITER = 50
+NEWTON_TOL = 1e-11
+
+
 @dataclass(frozen=True)
 class MatchingConstants:
     """Unknown left-endpoint slopes beta = phi'(l1), gamma = psi'(l1)."""
@@ -47,7 +54,7 @@ class MatchingConstants:
 
 @dataclass(frozen=True)
 class IterConfig:
-    """Iteration limits and quadrature choice."""
+    """Green-iteration limits (max_iter, tol) and the quadrature rule of both solvers."""
 
     max_iter: int = 50
     tol: float = 1e-12
@@ -119,10 +126,25 @@ def _volterra(f: np.ndarray, d: np.ndarray, h: float, rule: str) -> np.ndarray:
     return out
 
 
-def _green(f: np.ndarray, d: np.ndarray, h: float, rule: str) -> np.ndarray:
-    """int_{l1}^{l2} G(x, t) f(t) dt = (d/L) V(f)(l2) - V(f)(x) at every node."""
-    v = _volterra(f, d, h, rule)
-    return np.subtract(d * (v[-1] / d[-1]), v, out=v)
+def _sweep(params: SystemParams, d, h: float, rule: str, phi, psi, slopes: tuple, step: int):
+    """Apply u <- slope*d + V(f(u)) to both fields once.
+
+    ``slopes`` holds the left-end slopes of (phi, psi). A slope of None is
+    -V(f)(l2)/L, which zeros that field at l2. Returns the new fields and
+    the sup norms of the two updates; non-finite values raise
+    DivergenceError(step).
+    """
+    new = []
+    # Overflow in a blowing-up iterate surfaces as DivergenceError below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for f, slope in zip((eval_f1, eval_f2), slopes):
+            v = _volterra(f(params, phi, psi), d, h, rule)
+            if slope is None:
+                slope = -v[-1] / d[-1]
+            new.append(np.add(v, slope * d, out=v))
+    if not all(np.isfinite(u).all() for u in new):
+        raise DivergenceError(step)
+    return new, [float(np.max(np.abs(u - old))) for u, old in zip(new, (phi, psi))]
 
 
 def initial_state(grid: Grid, consts: MatchingConstants) -> PicardState:
@@ -139,23 +161,16 @@ def picard_step(
     params: SystemParams, grid: Grid, state: PicardState, cfg: IterConfig
 ) -> PicardState:
     """Advance the Picard recursion by one iterate."""
-    phi, psi = state.fields.phi, state.fields.psi
-    b, g = state.constants.beta, state.constants.gamma
-    d, h, rule = _anchored(grid), grid.h, cfg.quadrature
-    # Overflow in a blowing-up iterate surfaces as DivergenceError below.
-    with np.errstate(over="ignore", invalid="ignore"):
-        new_phi = b * d + _volterra(eval_f1(params, phi, psi), d, h, rule)
-        new_psi = g * d + _volterra(eval_f2(params, phi, psi), d, h, rule)
-    if not (np.isfinite(new_phi).all() and np.isfinite(new_psi).all()):
-        raise DivergenceError(state.n + 1)
-    diff = max(
-        float(np.max(np.abs(new_phi - phi))), float(np.max(np.abs(new_psi - psi)))
+    c = state.constants
+    (phi, psi), norms = _sweep(
+        params, _anchored(grid), grid.h, cfg.quadrature, state.fields.phi, state.fields.psi,
+        (c.beta, c.gamma), state.n + 1,
     )
     return PicardState(
         n=state.n + 1,
-        fields=FieldPair(new_phi, new_psi),
-        constants=state.constants,
-        diff_norms=state.diff_norms + (diff,),
+        fields=FieldPair(phi, psi),
+        constants=c,
+        diff_norms=state.diff_norms + (max(norms),),
     )
 
 
@@ -181,20 +196,15 @@ def match_constants_order1(
     params: SystemParams,
     domain: Domain,
     beta_sign: float = 1.0,
-    printed_beta_formula: bool = False,
 ) -> MatchingConstants:
     """Slopes that make the first Picard iterate vanish at the right endpoint.
 
     gamma = 4! r (1 + L^2/(3! r)) / L^3 and
     beta^2 = 2 (4!)^2 r s (1 + L^2/(3! r)) (1 + alpha L^2/(3! s)) / L^6.
-
-    ``printed_beta_formula`` swaps the first bracket's r for s, matching a
-    widely circulated but inconsistent variant of the beta formula; it is
-    kept only for comparison and does not zero the endpoint when r != s.
     """
     L = domain.length
     r, s, alpha = params.r, params.s, params.alpha
-    first_bracket = 1.0 + L * L / (6.0 * (s if printed_beta_formula else r))
+    first_bracket = 1.0 + L * L / (6.0 * r)
     radicand = (
         2.0 * 576.0 * r * s * first_bracket * (1.0 + alpha * L * L / (6.0 * s)) / L**6
     )
@@ -210,22 +220,6 @@ def endpoint_residual(state: PicardState) -> float:
     return abs(float(state.fields.phi[-1])) + abs(float(state.fields.psi[-1]))
 
 
-def _run_fixed(
-    params: SystemParams,
-    grid: Grid,
-    cfg: IterConfig,
-    order: int,
-    consts: MatchingConstants,
-    tol_stop: bool,
-) -> PicardState:
-    state = initial_state(grid, consts)
-    for _ in range(order):
-        state = picard_step(params, grid, state, cfg)
-        if tol_stop and state.diff_norms[-1] < cfg.tol:
-            break
-    return state
-
-
 def solve_picard(
     params: SystemParams,
     grid: Grid,
@@ -233,41 +227,41 @@ def solve_picard(
     order: int,
     constants: MatchingConstants | None = None,
     beta_sign: float = 1.0,
-    newton_max_iter: int = 50,
-    newton_tol: float = 1e-11,
 ) -> PicardState:
     """Run `order` Picard steps with slopes matched at the right endpoint.
 
-    With ``constants`` supplied the slopes are held fixed and no matching
-    is performed (useful for convergence studies). Otherwise a damped
-    Newton iteration with a finite-difference Jacobian drives the
-    endpoint values of the order-th iterate to zero, starting from the
-    order-1 closed-form slopes.
+    The result is always the order-th iterate. With ``constants`` supplied
+    the slopes are held fixed and no matching is performed (useful for
+    convergence studies). Otherwise a damped Newton iteration with a
+    finite-difference Jacobian drives the endpoint values of the order-th
+    iterate to zero, starting from the order-1 closed-form slopes, and the
+    iterate of the accepted slopes is returned as computed.
     """
     if order < 1:
         raise ConfigurationError("order must be >= 1")
+
+    def endpoint_map(v) -> tuple[PicardState, np.ndarray]:
+        """One forward solve: the order-th iterate from slopes v, and its values at l2."""
+        st = initial_state(grid, MatchingConstants(v[0], v[1]))
+        for _ in range(order):
+            st = picard_step(params, grid, st, cfg)
+        return st, np.array([st.fields.phi[-1], st.fields.psi[-1]])
+
     if constants is not None:
-        return _run_fixed(params, grid, cfg, order, constants, tol_stop=True)
-
-    def endpoint_map(v: np.ndarray) -> np.ndarray:
-        st = _run_fixed(
-            params, grid, cfg, order, MatchingConstants(v[0], v[1]), tol_stop=False
-        )
-        return np.array([st.fields.phi[-1], st.fields.psi[-1]])
-
+        return endpoint_map((constants.beta, constants.gamma))[0]
     guess = match_constants_order1(params, domain=grid.domain, beta_sign=beta_sign)
     v = np.array([guess.beta, guess.gamma])
-    fv = endpoint_map(v)
+    state, fv = endpoint_map(v)
     res = float(np.abs(fv).sum())
-    for _ in range(newton_max_iter):
-        if res <= newton_tol:
+    for _ in range(NEWTON_MAX_ITER):
+        if res <= NEWTON_TOL:
             break
         jac = np.empty((2, 2))
         for j in range(2):
             step = 1e-6 * max(abs(v[j]), 1.0)
             vp = v.copy()
             vp[j] += step
-            jac[:, j] = (endpoint_map(vp) - fv) / step
+            jac[:, j] = (endpoint_map(vp)[1] - fv) / step
         try:
             delta = np.linalg.solve(jac, -fv)
         except np.linalg.LinAlgError as exc:
@@ -275,25 +269,23 @@ def solve_picard(
         lam = 1.0
         while lam > 1e-8:
             trial = v + lam * delta
-            ft = endpoint_map(trial)
+            st, ft = endpoint_map(trial)
             rt = float(np.abs(ft).sum())
             if rt < res:
-                v, fv, res = trial, ft, rt
+                v, state, fv, res = trial, st, ft, rt
                 break
             lam *= 0.5
         else:
             raise MatchingFailureError(res)
-    if res > newton_tol:
+    if res > NEWTON_TOL:
         raise MatchingFailureError(res)
-    return _run_fixed(
-        params, grid, cfg, order, MatchingConstants(v[0], v[1]), tol_stop=False
-    )
+    return state
 
 
 def green_kernel_iterate(
     params: SystemParams, grid: Grid, start: FieldPair, cfg: IterConfig
 ) -> tuple[FieldPair, list[float]]:
-    """Iterate the Green-kernel integral operator from `start`.
+    """Iterate the Green-kernel map u = -int G f(u) from `start`.
 
     Returns the final pair and the trace of combined successive
     sup-norm differences ||dphi|| + ||dpsi|| (the norm the contraction
@@ -304,16 +296,10 @@ def green_kernel_iterate(
     phi, psi = start.phi, start.psi
     trace: list[float] = []
     for k in range(cfg.max_iter):
-        with np.errstate(over="ignore", invalid="ignore"):
-            new_phi = _green(eval_f1(params, phi, psi), d, grid.h, cfg.quadrature)
-            new_psi = _green(eval_f2(params, phi, psi), d, grid.h, cfg.quadrature)
-        if not (np.isfinite(new_phi).all() and np.isfinite(new_psi).all()):
-            raise DivergenceError(k + 1)
-        diff = float(np.max(np.abs(new_phi - phi))) + float(
-            np.max(np.abs(new_psi - psi))
+        (phi, psi), (dphi, dpsi) = _sweep(
+            params, d, grid.h, cfg.quadrature, phi, psi, (None, None), k + 1
         )
-        trace.append(diff)
-        phi, psi = new_phi, new_psi
-        if diff < cfg.tol:
+        trace.append(dphi + dpsi)
+        if trace[-1] < cfg.tol:
             return FieldPair(phi, psi), trace
     raise NotConvergedError(len(trace), trace[-1])

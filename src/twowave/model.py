@@ -61,21 +61,26 @@ class Domain:
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform sampling of a Domain with n >= 3 nodes."""
+    """Uniform sampling of a Domain with n >= 3 nodes; build it with `uniform`."""
 
     domain: Domain
     n: int
     nodes: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.n < 3:
-            raise ConfigurationError("grid needs at least 3 nodes")
         if len(self.nodes) != self.n:
             raise ConfigurationError("node array length disagrees with n")
 
     @classmethod
     def uniform(cls, domain: Domain, n: int, dtype=float) -> "Grid":
-        return cls(domain, n, np.linspace(domain.l1, domain.l2, n, dtype=dtype))
+        # n is checked before numpy sizes the node array.
+        if n < 3:
+            raise ConfigurationError("grid needs at least 3 nodes")
+        try:
+            nodes = np.linspace(domain.l1, domain.l2, n, dtype=dtype)
+        except (ValueError, MemoryError) as exc:
+            raise ConfigurationError(f"too many grid nodes: {exc}") from None
+        return cls(domain, n, nodes)
 
     @property
     def h(self) -> float:

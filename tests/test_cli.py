@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from twowave import cli
 from twowave.cli import main, read_profile, write_profile
 from twowave.errors import ProfileParseError
 
@@ -209,6 +210,15 @@ class TestConfigDocument:
     def test_even_n_with_simpson_rejected(self):
         assert run_cli("exact", "--n", 10) == 2
 
+    # Only sizes numpy refuses before it allocates anything.
+    @pytest.mark.parametrize("flags, message", [
+        (["--n", -5, "--quadrature", "trapezoid"], "error: grid needs at least 3 nodes"),
+        (["--n", 2**62 + 1], "error: too many grid nodes"),
+    ], ids=["negative-n", "n-over-numpy-max-size"])
+    def test_bad_node_count_exits_2(self, capsys, flags, message):
+        assert run_cli("exact", *flags) == 2
+        assert capsys.readouterr().err.startswith(message)
+
     @pytest.mark.parametrize("command, doc, message", [
         ("exact", '{"n": 5.5}', "error: n must be int, got 5.5"),
         ("exact", '{"n": "5"}', "error: n must be int, got '5'"),
@@ -219,6 +229,8 @@ class TestConfigDocument:
         ("exact", '{"n": 5,', "error: "),
         pytest.param("exact", '{"l1": 1' + "0" * 400 + "}", "error: l1 is too large for a float",
                      id="exact-huge-int-for-float"),
+        pytest.param("exact", '{"n": 1' + "0" * 399 + "1}", "error: too many grid nodes",
+                     id="exact-401-digit-n"),
     ])
     def test_bad_document_exits_2(self, tmp_path, capsys, command, doc, message):
         cfgfile = tmp_path / "cfg.json"
@@ -266,3 +278,32 @@ class TestProfileFormat:
         with pytest.raises(ProfileParseError) as info:
             read_profile(str(prof))
         assert str(info.value).startswith(message)
+
+
+class TestParserReuse:
+    def test_back_to_back_commands_match_a_fresh_parser(self, tmp_path, monkeypatch):
+        # later commands leave out flags that earlier ones set, so a value
+        # kept by the cached parser would change their files
+        argvs = [
+            ["exact", "--n", "101", "--c2", "1.5", "--format", "json", "--out", "exact.json"],
+            ["exact", "--n", "51", "--out", "exact.csv"],
+            ["solve", "--l1", "0", "--l2", "1", "--n", "201", "--picard-order", "2",
+             "--beta-sign", "-", "--out", "picard2.csv"],
+            ["solve", "--l1", "0", "--l2", "1", "--n", "201", "--out", "picard1.csv"],
+            ["solve", "--method", "green", "--l1", "0", "--l2", "1", "--n", "201",
+             "--seed", "3", "--out", "green.csv"],
+            ["verify", "exact.json", "--quadrature", "trapezoid", "--out", "exact.report.json"],
+            ["verify", "picard2.csv", "--out", "picard2.report.json"],
+        ]
+
+        def run_all(where):
+            where.mkdir()
+            monkeypatch.chdir(where)
+            assert [main(argv) for argv in argvs] == [0] * len(argvs)
+            return {p.name: p.read_bytes() for p in where.iterdir()}
+
+        assert cli.build_parser() is cli.build_parser()
+        cached = run_all(tmp_path / "cached")
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        fresh = run_all(tmp_path / "fresh")
+        assert len(fresh) == 10 and cached == fresh

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from twowave import fixedpoint
 from twowave import (
     ConvergenceBound,
     Domain,
@@ -108,14 +109,6 @@ class TestMatchingConstantsOrder1:
     def test_negative_branch(self):
         mc = match_constants_order1(P1, UNIT, beta_sign=-1.0)
         assert mc.beta == pytest.approx(-math.sqrt(1568.0), abs=1e-10)
-
-    def test_printed_variant_differs_and_misses_endpoint(self):
-        p = SystemParams(r=2.0, s=3.0, alpha=1.0)
-        derived = match_constants_order1(p, UNIT)
-        printed = match_constants_order1(p, UNIT, printed_beta_formula=True)
-        assert printed.beta != pytest.approx(derived.beta, rel=1e-6)
-        phi, psi = first_iterate(p, UNIT, printed, UNIT.l2)
-        assert abs(phi) + abs(psi) > 1e-6
 
 
 class TestPicardStep:
@@ -237,6 +230,15 @@ class TestSolvePicard:
         gap23 = np.max(np.abs(sols[2].fields.phi - sols[1].fields.phi))
         assert gap23 < gap12
 
+    def test_match_returns_the_accepted_iterate(self, monkeypatch):
+        # 13 forward solves of 3 steps each: the accepted Newton trial's
+        # iterate is returned as computed, not solved once more
+        calls = []
+        step = fixedpoint.picard_step
+        monkeypatch.setattr(fixedpoint, "picard_step", lambda *a: calls.append(a) or step(*a))
+        solve_picard(P1, unit_grid(2001), CFG, 3)
+        assert len(calls) == 13 * 3
+
     @pytest.mark.parametrize("order", [1, 3])
     def test_translation_invariance(self, order):
         # L = 1 is exact for every l1 below, so the anchored coordinate and
@@ -258,6 +260,15 @@ class TestGreenKernelIteration:
         )
         assert np.all(final.phi == 0.0) and np.all(final.psi == 0.0)
         assert trace[0] == 0.0
+
+    def test_matched_picard_profile_is_a_fixed_point(self):
+        # the order-12 match on [0, 1] has settled (last update 1.3e-10), so one
+        # sweep of the Green map u = -int G f(u) leaves it in place; the
+        # sign-flipped map +int G f moves it by about 37
+        g = unit_grid(2001)
+        st = solve_picard(P1, g, CFG, 12)
+        _, trace = green_kernel_iterate(P1, g, st.fields, IterConfig(1, 1e-9, "simpson"))
+        assert trace[0] < 1e-9
 
     def test_contraction_to_unique_trivial_solution(self):
         # A = 0.25 < 1 on [0,1] with unit bounds: any start in the box lands
