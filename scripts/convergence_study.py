@@ -23,9 +23,10 @@ from twowave import (
     MatchingConstants,
     SystemParams,
     convergence_bound,
+    initial_state,
+    picard_step,
     residual,
     sample_closed_form,
-    solve_picard,
     sup_norms,
 )
 
@@ -50,12 +51,12 @@ def fd_refinement_table() -> None:
 def factorial_bound_table() -> None:
     print("successive-approximation differences vs factorial envelope, [0, 1]")
     grid = Grid.uniform(Domain(0.0, 1.0), 2001, dtype=np.longdouble)
-    consts = MatchingConstants(0.1, 0.1)
+    state = initial_state(grid, MatchingConstants(0.1, 0.1))
     cfg = IterConfig(max_iter=100, tol=1e-300, quadrature="simpson")
     print(f"{'n':>3} {'measured':>12} {'bound':>12} {'ok':>4}")
     Mmax = Msmax = 0.1
     for n in range(11):
-        state = solve_picard(P1, grid, cfg, n + 1, constants=consts)
+        state = picard_step(P1, grid, state, cfg)
         b = sup_norms(state.fields)
         Mmax, Msmax = max(Mmax, b.M), max(Msmax, b.Mstar)
         cb = ConvergenceBound.from_bounds(P1, Mmax, Msmax)

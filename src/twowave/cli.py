@@ -86,8 +86,6 @@ class RunConfig:
         return model.Domain(self.l1, self.l2)
 
     def grid(self) -> model.Grid:
-        if self.quadrature == "simpson" and self.n % 2 == 0:
-            raise ConfigurationError("simpson quadrature needs an odd node count")
         return model.Grid.uniform(self.domain(), self.n)
 
     def iter_config(self) -> fixedpoint.IterConfig:
@@ -234,6 +232,8 @@ def read_profile(path: str):
         x, phi, psi = np.asarray(rows, dtype=float).reshape(-1, 3).T
     if len(x) < 3:
         raise ProfileParseError("profile needs at least 3 rows")
+    if not all(np.isfinite(col).all() for col in (x, phi, psi)):
+        raise ProfileParseError("profile values must be finite")
     return x, phi, psi
 
 
@@ -247,22 +247,19 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
     grid = model.Grid.uniform(model.Domain(float(x[0]), float(x[-1])), n)
     fields = model.FieldPair(phi, psi)
     params = cfg.params()
-    rule = cfg.quadrature
-    if rule == "simpson" and n % 2 == 0:
-        rule = "trapezoid"
     r1, r2 = model.residual(params, grid, fields)
     report = {
         "file": args.input_profile,
         "n": int(n),
         "domain": [float(x[0]), float(x[-1])],
-        "quadrature": rule,
+        "quadrature": cfg.quadrature,
         "max_residual_phi": float(np.max(np.abs(r1))),
         "max_residual_psi": float(np.max(np.abs(r2))),
         "boundary_values": [float(phi[0]), float(phi[-1]), float(psi[0]), float(psi[-1])],
         "energy_identity_residual": analysis.energy_identity_residual(
-            params, grid, fields, rule
+            params, grid, fields, cfg.quadrature
         ),
-        "norm_ordering": analysis.norm_ordering(params, grid, fields, rule),
+        "norm_ordering": analysis.norm_ordering(params, grid, fields, cfg.quadrature),
     }
     _write_json(cfg.out, report)
     return EXIT_OK

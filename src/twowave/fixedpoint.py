@@ -1,15 +1,15 @@
 """Fixed-point solvers for the two-wave boundary-value problem.
 
-Both solvers apply one sweep, u <- slope*d + V(f(u)), built on one integral
-primitive written on the anchored coordinate d = x - l1. d is built as
-linspace(0, L, n), so it depends on the length L = l2 - l1 alone and a
-shifted interval gives the same result:
+Both solvers apply one sweep, u <- slope*d + V(f(u)), on the anchored
+coordinate d = x - l1, built as linspace(0, L, n) so it depends on the length
+L = l2 - l1 alone and a shifted interval gives the same result. V is the
+running integral C = `quadrature.cumulative` taken twice; it sees no coordinate:
 
-    V(f)(x) = int_{l1}^{x} (x - t) f(t) dt = d int_{l1}^{x} f - int_{l1}^{x} d f.
+    V(f)(x) = int_{l1}^{x} (x - t) f(t) dt = int_{l1}^{x} int_{l1}^{t} f = C(C(f)).
 
 * Picard successive approximation on the Volterra form u = slope*d + V(f(u)),
-  the textbook double integral reduced analytically, with the unknown
-  left-end slopes (beta, gamma) matched so the iterate vanishes at l2.
+  the textbook double integral, with the unknown left-end slopes
+  (beta, gamma) matched so the iterate vanishes at l2.
 
 * Fredholm iteration with the Dirichlet Green kernel, which contracts
   whenever the certificate constant A is below one. Its fixed-point map
@@ -119,14 +119,13 @@ def _anchored(grid: Grid) -> np.ndarray:
     return np.linspace(0.0, grid.domain.length, grid.n, dtype=grid.nodes.dtype)
 
 
-def _volterra(f: np.ndarray, d: np.ndarray, h: float, rule: str) -> np.ndarray:
-    """V(f) = int_{l1}^{x_k} (x_k - t) f(t) dt = d_k int f - int d f at every node."""
-    out = d * quadrature.cumulative(f, h, rule)
-    out -= quadrature.cumulative(d * f, h, rule)
-    return out
+def _volterra(f: np.ndarray, h: float, rule: str) -> np.ndarray:
+    """V(f) = int_{l1}^{x_k} (x_k - t) f(t) dt, the running integral taken twice."""
+    return quadrature.cumulative(quadrature.cumulative(f, h, rule), h, rule)
 
 
-def _sweep(params: SystemParams, d, h: float, rule: str, phi, psi, slopes: tuple, step: int):
+def _sweep(params: SystemParams, d, h: float, rule: str, fields: FieldPair, slopes: tuple,
+           step: int) -> tuple[FieldPair, list[float]]:
     """Apply u <- slope*d + V(f(u)) to both fields once.
 
     ``slopes`` holds the left-end slopes of (phi, psi). A slope of None is
@@ -134,17 +133,20 @@ def _sweep(params: SystemParams, d, h: float, rule: str, phi, psi, slopes: tuple
     the sup norms of the two updates; non-finite values raise
     DivergenceError(step).
     """
+    phi, psi = fields.phi, fields.psi
     new = []
     # Overflow in a blowing-up iterate surfaces as DivergenceError below.
     with np.errstate(over="ignore", invalid="ignore"):
         for f, slope in zip((eval_f1, eval_f2), slopes):
-            v = _volterra(f(params, phi, psi), d, h, rule)
+            v = _volterra(f(params, phi, psi), h, rule)
             if slope is None:
                 slope = -v[-1] / d[-1]
             new.append(np.add(v, slope * d, out=v))
-    if not all(np.isfinite(u).all() for u in new):
-        raise DivergenceError(step)
-    return new, [float(np.max(np.abs(u - old))) for u, old in zip(new, (phi, psi))]
+    try:
+        swept = FieldPair(*new)  # the one finite check of the sweep
+    except ConfigurationError:
+        raise DivergenceError(step) from None
+    return swept, [float(np.max(np.abs(u - old))) for u, old in zip(new, (phi, psi))]
 
 
 def initial_state(grid: Grid, consts: MatchingConstants) -> PicardState:
@@ -162,13 +164,11 @@ def picard_step(
 ) -> PicardState:
     """Advance the Picard recursion by one iterate."""
     c = state.constants
-    (phi, psi), norms = _sweep(
-        params, _anchored(grid), grid.h, cfg.quadrature, state.fields.phi, state.fields.psi,
-        (c.beta, c.gamma), state.n + 1,
-    )
+    fields, norms = _sweep(params, _anchored(grid), grid.h, cfg.quadrature, state.fields,
+                           (c.beta, c.gamma), state.n + 1)
     return PicardState(
         n=state.n + 1,
-        fields=FieldPair(phi, psi),
+        fields=fields,
         constants=c,
         diff_norms=state.diff_norms + (max(norms),),
     )
@@ -293,13 +293,13 @@ def green_kernel_iterate(
     NotConvergedError if cfg.max_iter applications do not get there.
     """
     d = _anchored(grid)
-    phi, psi = start.phi, start.psi
+    fields = start
     trace: list[float] = []
     for k in range(cfg.max_iter):
-        (phi, psi), (dphi, dpsi) = _sweep(
-            params, d, grid.h, cfg.quadrature, phi, psi, (None, None), k + 1
+        fields, (dphi, dpsi) = _sweep(
+            params, d, grid.h, cfg.quadrature, fields, (None, None), k + 1
         )
         trace.append(dphi + dpsi)
         if trace[-1] < cfg.tol:
-            return FieldPair(phi, psi), trace
+            return fields, trace
     raise NotConvergedError(len(trace), trace[-1])

@@ -15,6 +15,7 @@ All types are immutable value data; every operation is a pure function.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,12 +23,20 @@ import numpy as np
 from .errors import ConfigurationError
 
 
+def _require_finite(value, *names: str) -> None:
+    """Raise ConfigurationError naming the first field in `names` that is not finite."""
+    for name in names:
+        if not math.isfinite(getattr(value, name)):
+            raise ConfigurationError(f"{name} must be finite, got {getattr(value, name)!r}")
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Coefficients (r, s, alpha) of the coupled system.
 
-    r and s must be nonzero (they divide the right-hand sides); alpha
-    must be positive (the series and certificates assume it).
+    All three must be finite; r and s must be nonzero (they divide the
+    right-hand sides); alpha must be positive (the series and certificates
+    assume it).
     """
 
     r: float = 1.0
@@ -35,6 +44,7 @@ class SystemParams:
     alpha: float = 1.0
 
     def __post_init__(self):
+        _require_finite(self, "r", "s", "alpha")
         if self.r == 0.0:
             raise ConfigurationError("r must be nonzero")
         if self.s == 0.0:
@@ -45,12 +55,13 @@ class SystemParams:
 
 @dataclass(frozen=True)
 class Domain:
-    """Interval [l1, l2] the boundary conditions are imposed on."""
+    """Finite interval [l1, l2] the boundary conditions are imposed on."""
 
     l1: float
     l2: float
 
     def __post_init__(self):
+        _require_finite(self, "l1", "l2")
         if not self.l2 > self.l1:
             raise ConfigurationError(f"need l2 > l1, got [{self.l1}, {self.l2}]")
 
@@ -117,12 +128,13 @@ class FieldPair:
 
 @dataclass(frozen=True)
 class Bounds:
-    """Sup bounds M >= |phi|, Mstar >= |psi| used by the certificates."""
+    """Finite sup bounds M >= |phi|, Mstar >= |psi| used by the certificates."""
 
     M: float
     Mstar: float
 
     def __post_init__(self):
+        _require_finite(self, "M", "Mstar")
         if self.M < 0.0 or self.Mstar < 0.0:
             raise ConfigurationError("bounds must be nonnegative")
 

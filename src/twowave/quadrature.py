@@ -1,11 +1,11 @@
 """Composite quadrature on uniform grids.
 
-Both the plain and the cumulative forms are provided. The cumulative
-Simpson rule patches odd subinterval counts with a 3/8 segment (and a
-cubic-interpolant formula for the very first node), so every partial
-integral is exact for polynomials up to degree three. That exactness is
-what lets the Volterra iteration reproduce closed-form iterates to
-machine precision on polynomial integrands.
+`cumulative`, the running integral, is the one formula; `integrate` is its
+last node. Its Simpson rule patches odd subinterval counts with a 3/8
+segment (and the first node with a cubic interpolant), so at every n >= 3
+each partial integral is exact for polynomials up to degree three, which
+lets the Volterra iteration reproduce closed-form iterates to machine
+precision on polynomial integrands.
 """
 
 from __future__ import annotations
@@ -26,14 +26,8 @@ def _check_rule(rule: str) -> None:
 
 
 def integrate(y: np.ndarray, h: float, rule: str = "simpson") -> float:
-    """Integral of samples ``y`` on a uniform grid with spacing ``h``."""
-    _check_rule(rule)
-    y = _as_float_array(y)
-    if rule == "trapezoid":
-        return float(np.trapezoid(y, dx=h))
-    if y.size % 2 == 0:
-        raise ValueError("simpson rule requires an odd number of nodes")
-    return float(h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-2:2].sum()))
+    """Integral of samples ``y`` on a uniform grid with spacing ``h``: the last running integral."""
+    return float(cumulative(y, h, rule)[-1])
 
 
 def cumulative(y: np.ndarray, h: float, rule: str = "simpson") -> np.ndarray:

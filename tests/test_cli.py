@@ -140,6 +140,16 @@ class TestCertifyCommand:
     def test_degenerate_bounds(self):
         assert run_cli("certify", "--M", 0, "--Mstar", 0, "--l1", 0, "--l2", 1) == 2
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--M", "nan", "--Mstar", 1], "error: M must be finite, got nan"),
+        (["--M", 1, "--Mstar", "inf"], "error: Mstar must be finite, got inf"),
+    ], ids=["M-nan", "Mstar-inf"])
+    def test_non_finite_bounds_exit_2(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "c.json"
+        assert run_cli("certify", *flags, "--l1", 0, "--l2", 1, "--out", out) == 2
+        assert capsys.readouterr().err.startswith(message)
+        assert not out.exists()
+
 
 class TestVerifyCommand:
     def test_round_trip_exact(self, tmp_path):
@@ -192,6 +202,24 @@ class TestVerifyCommand:
     def test_missing_file(self):
         assert run_cli("verify", "/does/not/exist.csv") == 4
 
+    @pytest.mark.parametrize("name, text", [
+        ("p.csv", "x,phi,psi\n0,0,0\n0.5,nan,0\n1,0,0\n"),
+        ("p.json", '{"x": [0, 0.5, 1], "phi": [0, 0, 0], "psi": [0, Infinity, 0]}'),
+    ], ids=["csv-nan", "json-infinity"])
+    def test_non_finite_profile_exits_4(self, tmp_path, capsys, name, text):
+        prof = tmp_path / name
+        prof.write_text(text)
+        assert run_cli("verify", prof, "--out", tmp_path / "r.json") == 4
+        assert capsys.readouterr().err.startswith("error: profile values must be finite")
+
+    def test_even_n_picard_profile_verified_with_simpson(self, tmp_path):
+        prof, rep = tmp_path / "p.csv", tmp_path / "r.json"
+        assert run_cli("solve", "--l1", 0, "--l2", 1, "--n", 2000, "--picard-order", 3,
+                       "--out", prof) == 0
+        assert run_cli("verify", prof, "--out", rep) == 0
+        doc = json.loads(rep.read_text())
+        assert doc["n"] == 2000 and doc["quadrature"] == "simpson"
+
 
 class TestConfigDocument:
     def test_config_and_override(self, tmp_path):
@@ -207,8 +235,22 @@ class TestConfigDocument:
         cfgfile.write_text(json.dumps({"bogus": 1}))
         assert run_cli("exact", "--config", cfgfile) == 2
 
-    def test_even_n_with_simpson_rejected(self):
-        assert run_cli("exact", "--n", 10) == 2
+    def test_even_n_accepted(self, tmp_path):
+        out = tmp_path / "p.csv"
+        assert run_cli("exact", "--n", 10, "--out", out) == 0
+        assert len(read_profile(str(out))[0]) == 10
+
+    @pytest.mark.parametrize("command, flags, message", [
+        ("exact", ["--l1", 0, "--l2", "inf"], "error: l2 must be finite, got inf"),
+        ("exact", ["--l1=-inf", "--l2", 0], "error: l1 must be finite, got -inf"),
+        ("solve", ["--r", "nan"], "error: r must be finite, got nan"),
+        ("solve", ["--s", "inf"], "error: s must be finite, got inf"),
+        ("solve", ["--alpha", "nan"], "error: alpha must be finite, got nan"),
+    ], ids=["l2-inf", "l1-minus-inf", "r-nan", "s-inf", "alpha-nan"])
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_setting_exits_2(self, tmp_path, capsys, command, flags, message):
+        assert run_cli(command, *flags, "--out", tmp_path / "out") == 2
+        assert capsys.readouterr().err.startswith(message)
 
     # Only sizes numpy refuses before it allocates anything.
     @pytest.mark.parametrize("flags, message", [

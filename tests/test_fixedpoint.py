@@ -149,6 +149,18 @@ class TestPicardStep:
         # is the boundary tail |phi(l1)| = sqrt(2)*1.5*sech^2(5) ~ 3.9e-4
         assert nxt.diff_norms[-1] < 5e-4
 
+    def test_volterra_is_fourth_order(self):
+        # V(f)(x) = int_0^x (x - t) f(t) dt for f = e^t sin 3t on [0, 3] is
+        # e^x (-8 sin 3x - 6 cos 3x)/100 + 0.06 + 0.3 x; halving h cuts the
+        # error of the twice-applied cumulative Simpson rule about 16 times
+        errs = []
+        for n in (1001, 2001):
+            x = np.linspace(0.0, 3.0, n)
+            exact = np.exp(x) * (-8.0 * np.sin(3 * x) - 6.0 * np.cos(3 * x)) / 100 + 0.06 + 0.3 * x
+            v = fixedpoint._volterra(np.exp(x) * np.sin(3 * x), x[1] - x[0], "simpson")
+            errs.append(np.max(np.abs(v - exact)))
+        assert errs[0] / errs[1] == pytest.approx(16.0, rel=0.1)
+
     @pytest.mark.filterwarnings("error")
     def test_divergence_detection(self):
         # overflow must surface only as DivergenceError, never as a warning

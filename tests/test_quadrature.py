@@ -5,16 +5,19 @@ from twowave import quadrature
 
 
 def test_simpson_exact_for_cubics():
-    x = np.linspace(0.0, 2.0, 21)
-    y = x**3 - 2.0 * x**2 + 0.5
     # antiderivative: x^4/4 - 2x^3/3 + x/2
     exact = 2.0**4 / 4 - 2.0 * 2.0**3 / 3 + 0.5 * 2.0
-    assert quadrature.integrate(y, x[1] - x[0], "simpson") == pytest.approx(exact, abs=1e-13)
+    for n in (4, 10, 20, 21):
+        x = np.linspace(0.0, 2.0, n)
+        y = x**3 - 2.0 * x**2 + 0.5
+        assert quadrature.integrate(y, x[1] - x[0], "simpson") == pytest.approx(exact, abs=1e-13)
 
 
-def test_simpson_requires_odd_node_count():
-    with pytest.raises(ValueError):
-        quadrature.integrate(np.ones(10), 0.1, "simpson")
+@pytest.mark.parametrize("rule", quadrature.RULES)
+@pytest.mark.parametrize("n", [3, 4, 10, 11])
+def test_integrate_is_the_last_running_integral(rule, n):
+    y = np.random.default_rng(n).normal(size=n)
+    assert quadrature.integrate(y, 0.1, rule) == quadrature.cumulative(y, 0.1, rule)[-1]
 
 
 def test_unknown_rule_rejected():
