@@ -19,7 +19,6 @@ from twowave import (
     Domain,
     ExactSolutionParams,
     Grid,
-    IterConfig,
     MatchingConstants,
     SystemParams,
     convergence_bound,
@@ -52,11 +51,10 @@ def factorial_bound_table() -> None:
     print("successive-approximation differences vs factorial envelope, [0, 1]")
     grid = Grid.uniform(Domain(0.0, 1.0), 2001, dtype=np.longdouble)
     state = initial_state(grid, MatchingConstants(0.1, 0.1))
-    cfg = IterConfig(max_iter=100, tol=1e-300, quadrature="simpson")
     print(f"{'n':>3} {'measured':>12} {'bound':>12} {'ok':>4}")
     Mmax = Msmax = 0.1
     for n in range(11):
-        state = picard_step(P1, grid, state, cfg)
+        state = picard_step(P1, grid, state)
         b = sup_norms(state.fields)
         Mmax, Msmax = max(Mmax, b.M), max(Msmax, b.Mstar)
         cb = ConvergenceBound.from_bounds(P1, Mmax, Msmax)

@@ -57,16 +57,15 @@ def main() -> None:
         f = sample_closed_form("dark", wide, SeriesParams(alpha=1.0, s=1.0, order=order))
         save(outdir / f"dark_order{order}.csv", wide.nodes, f.phi, f.psi)
 
-    unit = Grid.uniform(Domain(0.0, 1.0), args.n if args.n % 2 else args.n + 1)
-    cfg = IterConfig(max_iter=100, tol=1e-300, quadrature="simpson")
-    state = solve_picard(p1, unit, cfg, 3)
+    unit = Grid.uniform(Domain(0.0, 1.0), args.n)
+    state = solve_picard(p1, unit, IterConfig(), 3)
     save(outdir / "picard_order3.csv", unit.nodes, state.fields.phi, state.fields.psi)
     print(f"  matched constants: beta={state.constants.beta:.12g}, "
           f"gamma={state.constants.gamma:.12g}")
 
     rng = np.random.default_rng(0)
     start = FieldPair(rng.uniform(-1, 1, unit.n), rng.uniform(-1, 1, unit.n))
-    final, trace = green_kernel_iterate(p1, unit, start, IterConfig(60, 1e-13, "simpson"))
+    final, trace = green_kernel_iterate(p1, unit, start, IterConfig(60, 1e-13))
     save(outdir / "green_fixed_point.csv", unit.nodes, final.phi, final.psi)
     print(f"  kernel iteration: {len(trace)} sweeps, final update {trace[-1]:.3e}")
 

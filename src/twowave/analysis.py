@@ -20,7 +20,7 @@ import numpy as np
 from . import quadrature
 from .errors import ConfigurationError, DegenerateBoundsError, DomainError
 from .fixedpoint import ConvergenceBound
-from .model import Bounds, Domain, FieldPair, Grid, SystemParams
+from .model import Bounds, Domain, FieldPair, Grid, SystemParams, _require_finite
 
 _TINY = 1e-300
 
@@ -33,6 +33,9 @@ class LipschitzConstants:
     L12: float
     L21: float
     L22: float
+
+    def __post_init__(self):
+        _require_finite(self, "L11", "L12", "L21", "L22")
 
 
 @dataclass(frozen=True)
@@ -49,6 +52,10 @@ class Certificate:
     exists_ok: bool
     unique_ok: bool
 
+    def __post_init__(self):
+        # Bounds near the float limit overflow K1, K2; JSON has no Infinity or NaN.
+        _require_finite(self, "L_max", "A", "equicontinuity")
+
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -59,7 +66,7 @@ def lipschitz(params: SystemParams, bounds: Bounds) -> LipschitzConstants:
     return LipschitzConstants(
         L11=(1.0 + Mstar) / abs(params.r),
         L12=M / abs(params.r),
-        L21=(M + M) / (2.0 * abs(params.s)),
+        L21=M / abs(params.s),
         L22=params.alpha / abs(params.s),
     )
 
@@ -126,7 +133,7 @@ def _grid_derivative(u: np.ndarray, h: float) -> np.ndarray:
     return du
 
 
-def sobolev_h1_norm(grid: Grid, u: np.ndarray, rule: str = "simpson") -> float:
+def sobolev_h1_norm(grid: Grid, u: np.ndarray) -> float:
     """H1 norm sqrt(int u^2 + int u'^2) for u vanishing at both endpoints."""
     u = np.asarray(u, dtype=float)
     if u.shape != (grid.n,):
@@ -138,10 +145,7 @@ def sobolev_h1_norm(grid: Grid, u: np.ndarray, rule: str = "simpson") -> float:
             stacklevel=2,
         )
     du = _grid_derivative(u, grid.h)
-    return math.sqrt(
-        quadrature.integrate(u * u, grid.h, rule)
-        + quadrature.integrate(du * du, grid.h, rule)
-    )
+    return math.sqrt(quadrature.integrate(u * u, grid.h) + quadrature.integrate(du * du, grid.h))
 
 
 def _warn_if_not_unit_coefficients(params: SystemParams, what: str) -> None:
@@ -150,34 +154,25 @@ def _warn_if_not_unit_coefficients(params: SystemParams, what: str) -> None:
                       stacklevel=3)
 
 
-def energy_identity_residual(
-    params: SystemParams, grid: Grid, fields: FieldPair, rule: str = "simpson"
-) -> float:
+def energy_identity_residual(params: SystemParams, grid: Grid, fields: FieldPair) -> float:
     """Relative defect of int phi^2 + int phi'^2 = 2 alpha int psi^2 + 2 int psi'^2."""
     _warn_if_not_unit_coefficients(params, "the energy identity")
     h = grid.h
     dphi = _grid_derivative(fields.phi, h)
     dpsi = _grid_derivative(fields.psi, h)
-    lhs = quadrature.integrate(fields.phi**2, h, rule) + quadrature.integrate(
-        dphi**2, h, rule
-    )
-    rhs = 2.0 * params.alpha * quadrature.integrate(
-        fields.psi**2, h, rule
-    ) + 2.0 * quadrature.integrate(dpsi**2, h, rule)
+    lhs = quadrature.integrate(fields.phi**2, h) + quadrature.integrate(dphi**2, h)
+    rhs = (2.0 * params.alpha * quadrature.integrate(fields.psi**2, h)
+           + 2.0 * quadrature.integrate(dpsi**2, h))
     return abs(lhs - rhs) / max(lhs, rhs, _TINY)
 
 
 def norm_ordering(
-    params: SystemParams,
-    grid: Grid,
-    fields: FieldPair,
-    rule: str = "simpson",
-    rel_tol: float = 1e-6,
+    params: SystemParams, grid: Grid, fields: FieldPair, rel_tol: float = 1e-6
 ) -> str:
     """Compare ||phi||_1 with sqrt(2) ||psi||_1: 'less', 'equal', or 'greater'."""
     _warn_if_not_unit_coefficients(params, "the norm trichotomy")
-    lhs = sobolev_h1_norm(grid, fields.phi, rule)
-    rhs = math.sqrt(2.0) * sobolev_h1_norm(grid, fields.psi, rule)
+    lhs = sobolev_h1_norm(grid, fields.phi)
+    rhs = math.sqrt(2.0) * sobolev_h1_norm(grid, fields.psi)
     scale = max(lhs, rhs, _TINY)
     if abs(lhs - rhs) <= rel_tol * scale:
         return "equal"

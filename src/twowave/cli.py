@@ -29,7 +29,6 @@ from .errors import (
     NotConvergedError,
     ProfileParseError,
 )
-from .quadrature import RULES
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -58,11 +57,10 @@ class RunConfig:
     max_iter: int = _setting(50, "sweep limit of the Green iteration (Picard runs exactly "
                              "--picard-order iterates)")
     tol: float = _setting(1e-12, "update norm that ends the Green iteration")
-    quadrature: str = _setting("simpson", "quadrature rule", choices=RULES)
     method: str = _setting("picard", "solver", choices=("picard", "green"))
     beta_sign: str = _setting("+", "sign of the matched slope beta", choices=("+", "-"))
-    start: str = _setting("random", "start of the Green iteration", choices=("zero", "random"))
-    seed: int = _setting(0, "seed of the random start")
+    seed: int = _setting(0, "seed of the Green iteration's start, which is always random: "
+                         "phi and psi uniform on [-1, 1]")
     format: str = _setting("csv", "profile format", choices=("csv", "json"))
     out: str = _setting("-", "output path ('-' for stdout)")
 
@@ -89,7 +87,7 @@ class RunConfig:
         return model.Grid.uniform(self.domain(), self.n)
 
     def iter_config(self) -> fixedpoint.IterConfig:
-        return fixedpoint.IterConfig(self.max_iter, self.tol, self.quadrature)
+        return fixedpoint.IterConfig(self.max_iter, self.tol)
 
 
 _SETTINGS = dataclasses.fields(RunConfig)
@@ -158,12 +156,7 @@ def cmd_solve(cfg: RunConfig, args: argparse.Namespace) -> int:
     icfg = cfg.iter_config()
     if cfg.method == "green":
         rng = np.random.default_rng(cfg.seed)
-        if cfg.start == "random":
-            start = model.FieldPair(
-                rng.uniform(-1.0, 1.0, grid.n), rng.uniform(-1.0, 1.0, grid.n)
-            )
-        else:
-            start = model.FieldPair.zeros(grid.n)
+        start = model.FieldPair(rng.uniform(-1.0, 1.0, grid.n), rng.uniform(-1.0, 1.0, grid.n))
         fields, trace = fixedpoint.green_kernel_iterate(params, grid, start, icfg)
         meta = {
             "method": "green",
@@ -252,14 +245,11 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
         "file": args.input_profile,
         "n": int(n),
         "domain": [float(x[0]), float(x[-1])],
-        "quadrature": cfg.quadrature,
         "max_residual_phi": float(np.max(np.abs(r1))),
         "max_residual_psi": float(np.max(np.abs(r2))),
         "boundary_values": [float(phi[0]), float(phi[-1]), float(psi[0]), float(psi[-1])],
-        "energy_identity_residual": analysis.energy_identity_residual(
-            params, grid, fields, cfg.quadrature
-        ),
-        "norm_ordering": analysis.norm_ordering(params, grid, fields, cfg.quadrature),
+        "energy_identity_residual": analysis.energy_identity_residual(params, grid, fields),
+        "norm_ordering": analysis.norm_ordering(params, grid, fields),
     }
     _write_json(cfg.out, report)
     return EXIT_OK

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .model import FieldPair, Grid
+from .model import FieldPair, Grid, _require_finite
 
 SQRT2 = math.sqrt(2.0)
 
@@ -30,8 +30,7 @@ class ExactSolutionParams:
     c2: float = 0.0
 
     def __post_init__(self):
-        if not math.isfinite(self.c2):
-            raise ConfigurationError("c2 must be finite")
+        _require_finite(self, "c2")
 
 
 @dataclass(frozen=True)
@@ -43,6 +42,7 @@ class SeriesParams:
     order: int = 0
 
     def __post_init__(self):
+        _require_finite(self, "alpha", "s")
         if not self.alpha > 0.0:
             raise ConfigurationError("series require alpha > 0")
         if self.order not in (0, 1):

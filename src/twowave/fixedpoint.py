@@ -32,7 +32,7 @@ from .errors import (
     NoRealSolutionError,
     NotConvergedError,
 )
-from .model import Domain, FieldPair, Grid, SystemParams, eval_f1, eval_f2
+from .model import Domain, FieldPair, Grid, SystemParams, _require_finite, eval_f1, eval_f2
 
 
 # Newton matching succeeds once |phi(l2)| + |psi(l2)| <= NEWTON_TOL.
@@ -48,25 +48,21 @@ class MatchingConstants:
     gamma: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.beta) and math.isfinite(self.gamma)):
-            raise ConfigurationError("matching constants must be finite")
+        _require_finite(self, "beta", "gamma")
 
 
 @dataclass(frozen=True)
 class IterConfig:
-    """Green-iteration limits (max_iter, tol) and the quadrature rule of both solvers."""
+    """Green-iteration limits: at most max_iter sweeps, stopping once an update is below tol."""
 
     max_iter: int = 50
     tol: float = 1e-12
-    quadrature: str = "simpson"
 
     def __post_init__(self):
         if self.max_iter < 1:
             raise ConfigurationError("max_iter must be >= 1")
         if not self.tol > 0.0:
             raise ConfigurationError("tol must be positive")
-        if self.quadrature not in quadrature.RULES:
-            raise ConfigurationError(f"unknown quadrature {self.quadrature!r}")
 
 
 @dataclass(frozen=True)
@@ -119,12 +115,12 @@ def _anchored(grid: Grid) -> np.ndarray:
     return np.linspace(0.0, grid.domain.length, grid.n, dtype=grid.nodes.dtype)
 
 
-def _volterra(f: np.ndarray, h: float, rule: str) -> np.ndarray:
+def _volterra(f: np.ndarray, h: float) -> np.ndarray:
     """V(f) = int_{l1}^{x_k} (x_k - t) f(t) dt, the running integral taken twice."""
-    return quadrature.cumulative(quadrature.cumulative(f, h, rule), h, rule)
+    return quadrature.cumulative(quadrature.cumulative(f, h), h)
 
 
-def _sweep(params: SystemParams, d, h: float, rule: str, fields: FieldPair, slopes: tuple,
+def _sweep(params: SystemParams, d, h: float, fields: FieldPair, slopes: tuple,
            step: int) -> tuple[FieldPair, list[float]]:
     """Apply u <- slope*d + V(f(u)) to both fields once.
 
@@ -138,7 +134,7 @@ def _sweep(params: SystemParams, d, h: float, rule: str, fields: FieldPair, slop
     # Overflow in a blowing-up iterate surfaces as DivergenceError below.
     with np.errstate(over="ignore", invalid="ignore"):
         for f, slope in zip((eval_f1, eval_f2), slopes):
-            v = _volterra(f(params, phi, psi), h, rule)
+            v = _volterra(f(params, phi, psi), h)
             if slope is None:
                 slope = -v[-1] / d[-1]
             new.append(np.add(v, slope * d, out=v))
@@ -159,13 +155,11 @@ def initial_state(grid: Grid, consts: MatchingConstants) -> PicardState:
     )
 
 
-def picard_step(
-    params: SystemParams, grid: Grid, state: PicardState, cfg: IterConfig
-) -> PicardState:
-    """Advance the Picard recursion by one iterate."""
+def picard_step(params: SystemParams, grid: Grid, state: PicardState) -> PicardState:
+    """Advance the Picard recursion by one iterate, with the state's slopes held fixed."""
     c = state.constants
-    fields, norms = _sweep(params, _anchored(grid), grid.h, cfg.quadrature, state.fields,
-                           (c.beta, c.gamma), state.n + 1)
+    fields, norms = _sweep(params, _anchored(grid), grid.h, state.fields, (c.beta, c.gamma),
+                           state.n + 1)
     return PicardState(
         n=state.n + 1,
         fields=fields,
@@ -225,17 +219,17 @@ def solve_picard(
     grid: Grid,
     cfg: IterConfig,
     order: int,
-    constants: MatchingConstants | None = None,
     beta_sign: float = 1.0,
 ) -> PicardState:
     """Run `order` Picard steps with slopes matched at the right endpoint.
 
-    The result is always the order-th iterate. With ``constants`` supplied
-    the slopes are held fixed and no matching is performed (useful for
-    convergence studies). Otherwise a damped Newton iteration with a
-    finite-difference Jacobian drives the endpoint values of the order-th
-    iterate to zero, starting from the order-1 closed-form slopes, and the
-    iterate of the accepted slopes is returned as computed.
+    The result is always the order-th iterate. A damped Newton iteration
+    with a finite-difference Jacobian drives the endpoint values of the
+    order-th iterate to zero, starting from the order-1 closed-form slopes,
+    and the iterate of the accepted slopes is returned as computed. A
+    Picard solve reads nothing from ``cfg``, whose limits govern only the
+    Green iteration. For the iterates of fixed slopes, walk
+    `initial_state` -> `picard_step` instead.
     """
     if order < 1:
         raise ConfigurationError("order must be >= 1")
@@ -244,11 +238,9 @@ def solve_picard(
         """One forward solve: the order-th iterate from slopes v, and its values at l2."""
         st = initial_state(grid, MatchingConstants(v[0], v[1]))
         for _ in range(order):
-            st = picard_step(params, grid, st, cfg)
+            st = picard_step(params, grid, st)
         return st, np.array([st.fields.phi[-1], st.fields.psi[-1]])
 
-    if constants is not None:
-        return endpoint_map((constants.beta, constants.gamma))[0]
     guess = match_constants_order1(params, domain=grid.domain, beta_sign=beta_sign)
     v = np.array([guess.beta, guess.gamma])
     state, fv = endpoint_map(v)
@@ -296,9 +288,7 @@ def green_kernel_iterate(
     fields = start
     trace: list[float] = []
     for k in range(cfg.max_iter):
-        fields, (dphi, dpsi) = _sweep(
-            params, d, grid.h, cfg.quadrature, fields, (None, None), k + 1
-        )
+        fields, (dphi, dpsi) = _sweep(params, d, grid.h, fields, (None, None), k + 1)
         trace.append(dphi + dpsi)
         if trace[-1] < cfg.tol:
             return fields, trace

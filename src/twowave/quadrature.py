@@ -1,18 +1,16 @@
-"""Composite quadrature on uniform grids.
+"""Composite Simpson quadrature on uniform grids.
 
 `cumulative`, the running integral, is the one formula; `integrate` is its
-last node. Its Simpson rule patches odd subinterval counts with a 3/8
-segment (and the first node with a cubic interpolant), so at every n >= 3
-each partial integral is exact for polynomials up to degree three, which
-lets the Volterra iteration reproduce closed-form iterates to machine
-precision on polynomial integrands.
+last node. Odd subinterval counts are patched with a 3/8 segment (and the
+first node with a cubic interpolant), so at every n >= 3 each partial
+integral is exact for polynomials up to degree three, which lets the
+Volterra iteration reproduce closed-form iterates to machine precision on
+polynomial integrands.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-RULES = ("trapezoid", "simpson")
 
 
 def _as_float_array(y) -> np.ndarray:
@@ -20,34 +18,18 @@ def _as_float_array(y) -> np.ndarray:
     return y if y.dtype.kind == "f" else y.astype(float)
 
 
-def _check_rule(rule: str) -> None:
-    if rule not in RULES:
-        raise ValueError(f"unknown quadrature rule {rule!r}; expected one of {RULES}")
-
-
-def integrate(y: np.ndarray, h: float, rule: str = "simpson") -> float:
+def integrate(y: np.ndarray, h: float) -> float:
     """Integral of samples ``y`` on a uniform grid with spacing ``h``: the last running integral."""
-    return float(cumulative(y, h, rule)[-1])
+    return float(cumulative(y, h)[-1])
 
 
-def cumulative(y: np.ndarray, h: float, rule: str = "simpson") -> np.ndarray:
+def cumulative(y: np.ndarray, h: float) -> np.ndarray:
     """Running integrals I[k] = int_{x_0}^{x_k} y dt for every node k."""
-    _check_rule(rule)
     y = _as_float_array(y)
     n = y.size
-    if n < 2:
-        return np.zeros(n, dtype=y.dtype)
-    if rule == "trapezoid":
-        out = np.empty(n, dtype=y.dtype)
-        out[0] = 0.0
-        np.cumsum(h * 0.5 * (y[:-1] + y[1:]), out=out[1:])
-        return out
-    return _cumulative_simpson(y, h)
-
-
-def _cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:
-    n = y.size
     out = np.zeros(n, dtype=y.dtype)
+    if n < 2:
+        return out
     # Even node counts from the origin: composite Simpson pairs.
     if n >= 3:
         seg = h / 3.0 * (y[0:n - 2:2] + 4.0 * y[1:n - 1:2] + y[2:n:2])

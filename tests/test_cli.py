@@ -143,7 +143,10 @@ class TestCertifyCommand:
     @pytest.mark.parametrize("flags, message", [
         (["--M", "nan", "--Mstar", 1], "error: M must be finite, got nan"),
         (["--M", 1, "--Mstar", "inf"], "error: Mstar must be finite, got inf"),
-    ], ids=["M-nan", "Mstar-inf"])
+        # finite bounds whose K1, K2 overflow; JSON has no Infinity or NaN to write
+        (["--M", 1e308, "--Mstar", 1e308], "error: L_max must be finite, got nan"),
+        (["--M", 1e200, "--Mstar", 1e200], "error: equicontinuity must be finite, got inf"),
+    ], ids=["M-nan", "Mstar-inf", "overflow-1e308", "overflow-1e200"])
     def test_non_finite_bounds_exit_2(self, tmp_path, capsys, flags, message):
         out = tmp_path / "c.json"
         assert run_cli("certify", *flags, "--l1", 0, "--l2", 1, "--out", out) == 2
@@ -218,7 +221,7 @@ class TestVerifyCommand:
                        "--out", prof) == 0
         assert run_cli("verify", prof, "--out", rep) == 0
         doc = json.loads(rep.read_text())
-        assert doc["n"] == 2000 and doc["quadrature"] == "simpson"
+        assert doc["n"] == 2000
 
 
 class TestConfigDocument:
@@ -230,10 +233,13 @@ class TestConfigDocument:
         x, _, _ = read_profile(str(out))
         assert len(x) == 7 and x[0] == -1.0
 
-    def test_unknown_key_rejected(self, tmp_path):
+    @pytest.mark.parametrize("doc", [{"bogus": 1}, {"quadrature": "simpson"}, {"start": "zero"}],
+                             ids=["bogus", "quadrature", "start"])
+    def test_unknown_key_rejected(self, tmp_path, capsys, doc):
         cfgfile = tmp_path / "cfg.json"
-        cfgfile.write_text(json.dumps({"bogus": 1}))
+        cfgfile.write_text(json.dumps(doc))
         assert run_cli("exact", "--config", cfgfile) == 2
+        assert capsys.readouterr().err.startswith("error: unknown config keys")
 
     def test_even_n_accepted(self, tmp_path):
         out = tmp_path / "p.csv"
@@ -246,7 +252,10 @@ class TestConfigDocument:
         ("solve", ["--r", "nan"], "error: r must be finite, got nan"),
         ("solve", ["--s", "inf"], "error: s must be finite, got inf"),
         ("solve", ["--alpha", "nan"], "error: alpha must be finite, got nan"),
-    ], ids=["l2-inf", "l1-minus-inf", "r-nan", "s-inf", "alpha-nan"])
+        ("series", ["bright", "--s", "nan"], "error: s must be finite, got nan"),
+        ("series", ["bright", "--alpha", "inf"], "error: alpha must be finite, got inf"),
+    ], ids=["l2-inf", "l1-minus-inf", "r-nan", "s-inf", "alpha-nan", "series-s-nan",
+            "series-alpha-inf"])
     @pytest.mark.filterwarnings("error")
     def test_non_finite_setting_exits_2(self, tmp_path, capsys, command, flags, message):
         assert run_cli(command, *flags, "--out", tmp_path / "out") == 2
@@ -254,7 +263,7 @@ class TestConfigDocument:
 
     # Only sizes numpy refuses before it allocates anything.
     @pytest.mark.parametrize("flags, message", [
-        (["--n", -5, "--quadrature", "trapezoid"], "error: grid needs at least 3 nodes"),
+        (["--n", -5], "error: grid needs at least 3 nodes"),
         (["--n", 2**62 + 1], "error: too many grid nodes"),
     ], ids=["negative-n", "n-over-numpy-max-size"])
     def test_bad_node_count_exits_2(self, capsys, flags, message):
@@ -267,7 +276,6 @@ class TestConfigDocument:
         ("exact", '{"l1": "a"}', "error: l1 must be float, got 'a'"),
         ("exact", '{"n": true}', "error: n must be int, got True"),
         ("solve", '{"method": "newton"}', "error: method must be one of"),
-        ("verify", '{"quadrature": "gauss"}', "error: quadrature must be one of"),
         ("exact", '{"n": 5,', "error: "),
         pytest.param("exact", '{"l1": 1' + "0" * 400 + "}", "error: l1 is too large for a float",
                      id="exact-huge-int-for-float"),
@@ -334,7 +342,7 @@ class TestParserReuse:
             ["solve", "--l1", "0", "--l2", "1", "--n", "201", "--out", "picard1.csv"],
             ["solve", "--method", "green", "--l1", "0", "--l2", "1", "--n", "201",
              "--seed", "3", "--out", "green.csv"],
-            ["verify", "exact.json", "--quadrature", "trapezoid", "--out", "exact.report.json"],
+            ["verify", "exact.json", "--alpha", "2", "--out", "exact.report.json"],
             ["verify", "picard2.csv", "--out", "picard2.report.json"],
         ]
 

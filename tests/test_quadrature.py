@@ -10,21 +10,13 @@ def test_simpson_exact_for_cubics():
     for n in (4, 10, 20, 21):
         x = np.linspace(0.0, 2.0, n)
         y = x**3 - 2.0 * x**2 + 0.5
-        assert quadrature.integrate(y, x[1] - x[0], "simpson") == pytest.approx(exact, abs=1e-13)
+        assert quadrature.integrate(y, x[1] - x[0]) == pytest.approx(exact, abs=1e-13)
 
 
-@pytest.mark.parametrize("rule", quadrature.RULES)
 @pytest.mark.parametrize("n", [3, 4, 10, 11])
-def test_integrate_is_the_last_running_integral(rule, n):
+def test_integrate_is_the_last_running_integral(n):
     y = np.random.default_rng(n).normal(size=n)
-    assert quadrature.integrate(y, 0.1, rule) == quadrature.cumulative(y, 0.1, rule)[-1]
-
-
-def test_unknown_rule_rejected():
-    with pytest.raises(ValueError):
-        quadrature.integrate(np.ones(11), 0.1, "gauss")
-    with pytest.raises(ValueError):
-        quadrature.cumulative(np.ones(11), 0.1, "gauss")
+    assert quadrature.integrate(y, 0.1) == quadrature.cumulative(y, 0.1)[-1]
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 20, 21, 100, 101])
@@ -35,39 +27,24 @@ def test_cumulative_simpson_exact_for_cubics(n):
     y = 2.0 * x**3 - x**2 + 3.0 * x - 1.0
     exact = 0.5 * x**4 - x**3 / 3.0 + 1.5 * x**2 - x
     exact -= exact[0]
-    got = quadrature.cumulative(y, x[1] - x[0], "simpson")
+    got = quadrature.cumulative(y, x[1] - x[0])
     assert np.max(np.abs(got - exact)) < 1e-13
-
-
-def test_cumulative_trapezoid_matches_pairwise_sums():
-    rng = np.random.default_rng(7)
-    y = rng.normal(size=50)
-    h = 0.03
-    got = quadrature.cumulative(y, h, "trapezoid")
-    ref = np.concatenate([[0.0], np.cumsum(h * 0.5 * (y[:-1] + y[1:]))])
-    assert np.allclose(got, ref, atol=1e-15)
 
 
 def test_cumulative_final_entry_matches_full_integral():
     x = np.linspace(0.0, np.pi, 201)
     y = np.sin(x)
     h = x[1] - x[0]
-    for rule in quadrature.RULES:
-        assert quadrature.cumulative(y, h, rule)[-1] == pytest.approx(
-            quadrature.integrate(y, h, rule), abs=1e-12
-        )
+    assert quadrature.cumulative(y, h)[-1] == pytest.approx(quadrature.integrate(y, h), abs=1e-12)
 
 
 def test_convergence_orders_on_sine():
-    errs = {}
-    for rule in quadrature.RULES:
-        errs[rule] = []
-        for n in (101, 201, 401):
-            x = np.linspace(0.0, np.pi, n)
-            errs[rule].append(abs(quadrature.integrate(np.sin(x), x[1] - x[0], rule) - 2.0))
-    # trapezoid is O(h^2), simpson O(h^4)
-    assert errs["trapezoid"][0] / errs["trapezoid"][1] == pytest.approx(4.0, rel=0.05)
-    assert errs["simpson"][0] / errs["simpson"][1] == pytest.approx(16.0, rel=0.1)
+    errs = []
+    for n in (101, 201, 401):
+        x = np.linspace(0.0, np.pi, n)
+        errs.append(abs(quadrature.integrate(np.sin(x), x[1] - x[0]) - 2.0))
+    # Simpson is O(h^4)
+    assert errs[0] / errs[1] == pytest.approx(16.0, rel=0.1)
 
 
 def _fancy_index_cumulative_simpson(y, h):
@@ -97,12 +74,12 @@ def _fancy_index_cumulative_simpson(y, h):
 def test_cumulative_simpson_matches_fancy_index_reference(n, dtype):
     y = np.random.default_rng(n).normal(size=n).astype(dtype)
     h = dtype(0.37)
-    got = quadrature.cumulative(y, h, "simpson")
+    got = quadrature.cumulative(y, h)
     assert got.dtype == dtype
     assert np.array_equal(got, _fancy_index_cumulative_simpson(y, h))
 
 
 def test_preserves_longdouble():
     y = np.linspace(0, 1, 11).astype(np.longdouble)
-    out = quadrature.cumulative(y, np.longdouble(0.1), "simpson")
+    out = quadrature.cumulative(y, np.longdouble(0.1))
     assert out.dtype == np.longdouble

@@ -25,6 +25,13 @@ def test_reproduce_profiles_writes_the_profile_set(tmp_path):
     assert {p.name for p in tmp_path.iterdir()} == names
 
 
+def test_reproduce_profiles_keeps_the_node_count(tmp_path):
+    done = run_script("reproduce_profiles.py", "--outdir", tmp_path, "--n", 200)
+    assert done.returncode == 0, done.stderr
+    rows = {p.name: len(p.read_text().splitlines()) - 1 for p in tmp_path.iterdir()}
+    assert len(rows) == 9 and set(rows.values()) == {200}, rows
+
+
 def test_convergence_study_envelope_holds():
     done = run_script("convergence_study.py")
     assert done.returncode == 0, done.stderr
