@@ -133,15 +133,25 @@ def _grid_derivative(u: np.ndarray, h: float) -> np.ndarray:
     return du
 
 
+class DirichletWarning(UserWarning):
+    """An H1 norm was taken of samples that do not vanish at both endpoints."""
+
+
+def dirichlet_endpoints(u: np.ndarray) -> bool:
+    """Whether u vanishes at both endpoints, to the 1e-8 the H1 norm assumes."""
+    return bool(max(abs(u[0]), abs(u[-1])) <= 1e-8)
+
+
 def sobolev_h1_norm(grid: Grid, u: np.ndarray) -> float:
     """H1 norm sqrt(int u^2 + int u'^2) for u vanishing at both endpoints."""
     u = np.asarray(u, dtype=float)
     if u.shape != (grid.n,):
         raise ConfigurationError("u must be sampled on the grid")
-    if max(abs(u[0]), abs(u[-1])) > 1e-8:
+    if not dirichlet_endpoints(u):
         warnings.warn(
             "H1 norm assumes homogeneous Dirichlet data; endpoint values "
             f"are ({u[0]:.3e}, {u[-1]:.3e})",
+            DirichletWarning,
             stacklevel=2,
         )
     du = _grid_derivative(u, grid.h)

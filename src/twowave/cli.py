@@ -17,6 +17,7 @@ import dataclasses
 import functools
 import json
 import sys
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -241,6 +242,10 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
     fields = model.FieldPair(phi, psi)
     params = cfg.params()
     r1, r2 = model.residual(params, grid, fields)
+    with warnings.catch_warnings():
+        # Reported below as dirichlet_endpoints instead of printed.
+        warnings.simplefilter("ignore", analysis.DirichletWarning)
+        ordering = analysis.norm_ordering(params, grid, fields)
     report = {
         "file": args.input_profile,
         "n": int(n),
@@ -249,7 +254,8 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
         "max_residual_psi": float(np.max(np.abs(r2))),
         "boundary_values": [float(phi[0]), float(phi[-1]), float(psi[0]), float(psi[-1])],
         "energy_identity_residual": analysis.energy_identity_residual(params, grid, fields),
-        "norm_ordering": analysis.norm_ordering(params, grid, fields),
+        "norm_ordering": ordering,
+        "dirichlet_endpoints": all(map(analysis.dirichlet_endpoints, (phi, psi))),
     }
     _write_json(cfg.out, report)
     return EXIT_OK

@@ -171,11 +171,13 @@ def picard_step(params: SystemParams, grid: Grid, state: PicardState) -> PicardS
 def first_iterate(
     params: SystemParams, domain: Domain, consts: MatchingConstants, x
 ):
-    """Closed form of Picard iterate 1 from the straight-line iterate 0.
+    """The paper's printed closed form of Picard iterate 1, from the straight-line iterate 0.
 
     phi1 = beta d + (1/r)(beta d^3/3! - beta gamma d^4/4!),
     psi1 = gamma d + (1/s)(alpha gamma d^3/3! - (beta^2/2) d^4/4!),
-    with d = x - l1.
+    with d = x - l1. The iterated integral `picard_step` computes has the
+    quartic terms beta gamma d^4/12 and (beta^2/2) d^4/12 instead; see
+    `_order1_slopes` for the slopes that zero it.
     """
     d = np.asarray(x, dtype=float) - domain.l1
     b, g = consts.beta, consts.gamma
@@ -191,10 +193,12 @@ def match_constants_order1(
     domain: Domain,
     beta_sign: float = 1.0,
 ) -> MatchingConstants:
-    """Slopes that make the first Picard iterate vanish at the right endpoint.
+    """Slopes that make the printed first iterate, `first_iterate`, vanish at the right endpoint.
 
     gamma = 4! r (1 + L^2/(3! r)) / L^3 and
     beta^2 = 2 (4!)^2 r s (1 + L^2/(3! r)) (1 + alpha L^2/(3! s)) / L^6.
+    Its gamma is twice, and its beta^2 four times, the true order-1 values of
+    `_order1_slopes`; `solve_picard` starts orders >= 2 from these slopes.
     """
     L = domain.length
     r, s, alpha = params.r, params.s, params.alpha
@@ -209,9 +213,85 @@ def match_constants_order1(
     return MatchingConstants(beta=beta, gamma=gamma)
 
 
+def _order1_slopes(params: SystemParams, L: float, beta_sign: float) -> MatchingConstants:
+    """Slopes that zero the true first Picard iterate at l2.
+
+    From iterate 0 = (beta d, gamma d), `picard_step` gives exactly
+    phi1 = beta d + (beta d^3/6 - beta gamma d^4/12)/r and
+    psi1 = gamma d + (alpha gamma d^3/6 - beta^2 d^4/24)/s, since Simpson's
+    rule is exact on its integrands. Both vanish at d = L for
+    gamma = 12 (r + L^2/6)/L^3 and beta^2 = 24 s gamma (1 + alpha L^2/(6 s))/L^3.
+    """
+    r, s, alpha = params.r, params.s, params.alpha
+    gamma = 12.0 * (r + L * L / 6.0) / L**3
+    radicand = 24.0 * s * gamma * (1.0 + alpha * L * L / (6.0 * s)) / L**3
+    if radicand < 0.0:
+        raise NoRealSolutionError(radicand)
+    return MatchingConstants(math.copysign(math.sqrt(radicand), beta_sign), gamma)
+
+
 def endpoint_residual(state: PicardState) -> float:
     """|phi(l2)| + |psi(l2)| of the current iterate."""
     return abs(float(state.fields.phi[-1])) + abs(float(state.fields.psi[-1]))
+
+
+def _endpoint_map(params: SystemParams, grid: Grid, order: int, v,
+                  tangent: bool = False) -> tuple[PicardState, np.ndarray, np.ndarray | None]:
+    """One forward solve: the order-th iterate from slopes v = (beta, gamma) and its values at l2.
+
+    With ``tangent`` the same pass also returns the exact Jacobian of those
+    values in (beta, gamma). It carries the two slope directions through
+    the linearised sweep du <- dslope*d + V(df(u) du), with
+    df1 = ((1 - psi) dphi - phi dpsi)/r and df2 = (alpha dpsi - phi dphi)/s,
+    at two more `_volterra` calls per field: a tangent pass costs three
+    forward solves.
+    """
+    st = initial_state(grid, MatchingConstants(v[0], v[1]))
+    if tangent:
+        d, h = _anchored(grid), grid.h
+        zero = np.zeros_like(d)
+        dirs = [(d, zero), (zero, d)]  # (dphi, dpsi) along beta, then gamma
+    for _ in range(order):
+        if tangent:
+            phi, psi = st.fields.phi, st.fields.psi
+            one_minus_psi = 1.0 - psi
+            with np.errstate(over="ignore", invalid="ignore"):
+                for j, (dphi, dpsi) in enumerate(dirs):
+                    new = [_volterra((one_minus_psi * dphi - phi * dpsi) / params.r, h),
+                           _volterra((params.alpha * dpsi - phi * dphi) / params.s, h)]
+                    new[j] += d  # the slope of direction j moves field j alone
+                    dirs[j] = new
+        st = picard_step(params, grid, st)
+    fv = np.array([st.fields.phi[-1], st.fields.psi[-1]])
+    jac = np.array([[dirs[0][0][-1], dirs[1][0][-1]],
+                    [dirs[0][1][-1], dirs[1][1][-1]]]) if tangent else None
+    return st, fv, jac
+
+
+def _line_search(params, grid, order, v, fv, jac, res):
+    """Halve the Newton step from v until the residual falls; None if it never does.
+
+    A trial whose iterate diverges counts as rejected.
+    """
+    try:
+        delta = np.linalg.solve(jac, -fv)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.isfinite(delta).all():
+        return None
+    lam = 1.0
+    while lam > 1e-8:
+        trial = v + lam * delta
+        try:
+            st, ft, _ = _endpoint_map(params, grid, order, trial)
+        except DivergenceError:
+            pass
+        else:
+            rt = float(np.abs(ft).sum())
+            if rt < res:
+                return trial, st, ft, rt
+        lam *= 0.5
+    return None
 
 
 def solve_picard(
@@ -223,52 +303,51 @@ def solve_picard(
 ) -> PicardState:
     """Run `order` Picard steps with slopes matched at the right endpoint.
 
-    The result is always the order-th iterate. A damped Newton iteration
-    with a finite-difference Jacobian drives the endpoint values of the
-    order-th iterate to zero, starting from the order-1 closed-form slopes,
-    and the iterate of the accepted slopes is returned as computed. A
-    Picard solve reads nothing from ``cfg``, whose limits govern only the
+    The result is always the order-th iterate. A damped quasi-Newton
+    iteration drives the endpoint values of the order-th iterate to zero,
+    and the iterate of the accepted slopes is returned as computed.
+
+    * Order 1 starts from the true closed-form root `_order1_slopes`, where
+      the residual is already below NEWTON_TOL: one forward solve.
+    * Orders >= 2 start from `match_constants_order1`, and their first
+      forward solve is a tangent pass, which also gives the exact Jacobian
+      of the endpoint map (`_endpoint_map`).
+    * Each accepted line-search trial updates the Jacobian by Broyden's
+      rank-1 formula, with no further solves.
+    * If the line search fails on a Broyden Jacobian, the exact Jacobian is
+      recomputed once at the current slopes and the search retried; it
+      fails with MatchingFailureError only on an exact Jacobian.
+
+    A Picard solve reads nothing from ``cfg``, whose limits govern only the
     Green iteration. For the iterates of fixed slopes, walk
     `initial_state` -> `picard_step` instead.
     """
     if order < 1:
         raise ConfigurationError("order must be >= 1")
-
-    def endpoint_map(v) -> tuple[PicardState, np.ndarray]:
-        """One forward solve: the order-th iterate from slopes v, and its values at l2."""
-        st = initial_state(grid, MatchingConstants(v[0], v[1]))
-        for _ in range(order):
-            st = picard_step(params, grid, st)
-        return st, np.array([st.fields.phi[-1], st.fields.psi[-1]])
-
-    guess = match_constants_order1(params, domain=grid.domain, beta_sign=beta_sign)
-    v = np.array([guess.beta, guess.gamma])
-    state, fv = endpoint_map(v)
+    if order == 1:
+        start = _order1_slopes(params, grid.domain.length, beta_sign)
+    else:
+        start = match_constants_order1(params, domain=grid.domain, beta_sign=beta_sign)
+    v = np.array([start.beta, start.gamma])
+    state, fv, jac = _endpoint_map(params, grid, order, v, tangent=order > 1)
+    exact = jac is not None
     res = float(np.abs(fv).sum())
     for _ in range(NEWTON_MAX_ITER):
         if res <= NEWTON_TOL:
             break
-        jac = np.empty((2, 2))
-        for j in range(2):
-            step = 1e-6 * max(abs(v[j]), 1.0)
-            vp = v.copy()
-            vp[j] += step
-            jac[:, j] = (endpoint_map(vp)[1] - fv) / step
-        try:
-            delta = np.linalg.solve(jac, -fv)
-        except np.linalg.LinAlgError as exc:
-            raise MatchingFailureError(res) from exc
-        lam = 1.0
-        while lam > 1e-8:
-            trial = v + lam * delta
-            st, ft = endpoint_map(trial)
-            rt = float(np.abs(ft).sum())
-            if rt < res:
-                v, state, fv, res = trial, st, ft, rt
-                break
-            lam *= 0.5
-        else:
-            raise MatchingFailureError(res)
+        if jac is None:
+            jac, exact = _endpoint_map(params, grid, order, v, tangent=True)[2], True
+        found = _line_search(params, grid, order, v, fv, jac, res)
+        if found is None:
+            if exact:
+                raise MatchingFailureError(res)
+            jac = None
+            continue
+        trial, state, ft, res = found
+        step = trial - v
+        jac = jac + np.outer(ft - fv - jac @ step, step) / (step @ step)
+        exact = False
+        v, fv = trial, ft
     if res > NEWTON_TOL:
         raise MatchingFailureError(res)
     return state

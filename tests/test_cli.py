@@ -91,6 +91,14 @@ class TestSolveCommand:
         meta = json.loads((tmp_path / "s.csv.meta.json").read_text())
         assert meta["beta"] == pytest.approx(-math.sqrt(392.0), rel=1e-8)
 
+    def test_order9_on_length_3_matches(self, tmp_path):
+        # a case whose Newton matching used to diverge and exit 3
+        out = tmp_path / "s.csv"
+        assert run_cli("solve", "--l1", 0.3, "--l2", 3.3, "--alpha", 4, "--picard-order", 9,
+                       "--out", out) == 0
+        meta = json.loads((tmp_path / "s.csv.meta.json").read_text())
+        assert meta["order"] == 9 and meta["endpoint_residual"] <= 1e-11
+
     def test_green_contracts_to_zero(self, tmp_path):
         out = tmp_path / "g.csv"
         assert run_cli("solve", "--method", "green", "--l1", 0, "--l2", 1,
@@ -214,6 +222,19 @@ class TestVerifyCommand:
         prof.write_text(text)
         assert run_cli("verify", prof, "--out", tmp_path / "r.json") == 4
         assert capsys.readouterr().err.startswith("error: profile values must be finite")
+
+    @pytest.mark.filterwarnings("error")
+    def test_default_exact_profile_verifies_silently(self, tmp_path, capsys):
+        # the exact pair is 5e-4 at the ends of [-10, 10]; the report says the
+        # H1 norms' Dirichlet assumption fails instead of warning on stderr
+        prof, rep = tmp_path / "p.csv", tmp_path / "r.json"
+        assert run_cli("exact", "--out", prof) == 0
+        capsys.readouterr()
+        assert run_cli("verify", prof, "--out", rep) == 0
+        assert capsys.readouterr().err == ""
+        doc = json.loads(rep.read_text())
+        assert doc["dirichlet_endpoints"] is False
+        assert doc["norm_ordering"] == "equal"
 
     def test_even_n_picard_profile_verified_with_simpson(self, tmp_path):
         prof, rep = tmp_path / "p.csv", tmp_path / "r.json"

@@ -242,13 +242,73 @@ class TestSolvePicard:
         assert gap23 < gap12
 
     def test_match_returns_the_accepted_iterate(self, monkeypatch):
-        # 13 forward solves of 3 steps each: the accepted Newton trial's
-        # iterate is returned as computed, not solved once more
-        calls = []
+        # 6 passes of 3 steps each (the tangent pass, then five line-search
+        # trials): the accepted trial's iterate is the last one computed and
+        # is returned as is, not solved once more
+        steps = []
         step = fixedpoint.picard_step
-        monkeypatch.setattr(fixedpoint, "picard_step", lambda *a: calls.append(a) or step(*a))
-        solve_picard(P1, unit_grid(2001), CFG, 3)
-        assert len(calls) == 13 * 3
+        monkeypatch.setattr(fixedpoint, "picard_step",
+                            lambda *a: steps.append(step(*a)) or steps[-1])
+        st = solve_picard(P1, unit_grid(2001), CFG, 3)
+        assert len(steps) == 6 * 3
+        assert st is steps[-1]
+
+    def test_order1_takes_one_forward_solve(self, monkeypatch):
+        # the true closed-form start is the order-1 root, exact under Simpson
+        volterra = []
+        vol = fixedpoint._volterra
+        monkeypatch.setattr(fixedpoint, "_volterra", lambda *a: volterra.append(1) or vol(*a))
+        st = solve_picard(P1, unit_grid(2001), CFG, 1)
+        assert len(volterra) == 2  # one field each: one forward solve, no tangent pass
+        assert st.constants.gamma == pytest.approx(14.0, rel=1e-12)
+        assert st.constants.beta == pytest.approx(math.sqrt(392.0), rel=1e-12)
+
+    @pytest.mark.parametrize("order", [1, 3])
+    def test_negative_radicand_rejected(self, order):
+        with pytest.raises(NoRealSolutionError):
+            solve_picard(SystemParams(1.0, -1.0, 1.0), unit_grid(101), CFG, order)
+
+    @pytest.mark.parametrize("order", [1, 3, 6])
+    def test_tangent_jacobian_matches_central_differences(self, order):
+        g = unit_grid(2001)
+        mc = match_constants_order1(P1, UNIT)
+        v = np.array([mc.beta, mc.gamma])
+        _, _, jac = fixedpoint._endpoint_map(P1, g, order, v, tangent=True)
+        fd = np.empty((2, 2))
+        for j in range(2):
+            e = np.zeros(2)
+            e[j] = 1e-5 * abs(v[j])
+            fd[:, j] = (fixedpoint._endpoint_map(P1, g, order, v + e)[1]
+                        - fixedpoint._endpoint_map(P1, g, order, v - e)[1]) / (2.0 * e[j])
+        assert np.max(np.abs(jac - fd)) <= 1e-6 * np.max(np.abs(fd))
+
+    # (beta, gamma) of the beta > 0 branch of (r, s, alpha) = (1, 1, 4) on
+    # [0.3, 3.3] at n = 2001, as the finite-difference Newton matcher found
+    # them; the beta < 0 branch is its mirror image (-beta, gamma).
+    HARD = {4: (4.860379805941168, 1.928009507217809),
+            5: (4.824539897542441, 1.8687151062831828),
+            7: (4.520109680235135, 1.6923782934294218),
+            8: (4.534151130904845, 1.6983971649549414)}
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("order", sorted(HARD))
+    def test_hard_cases_keep_their_slopes(self, order, sign):
+        g = Grid.uniform(Domain(0.3, 3.3), 2001)
+        st = solve_picard(SystemParams(1.0, 1.0, 4.0), g, CFG, order, beta_sign=sign)
+        beta, gamma = self.HARD[order]
+        assert st.constants.beta == pytest.approx(sign * beta, rel=1e-8)
+        assert st.constants.gamma == pytest.approx(gamma, rel=1e-8)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_hard_case_order9_matches(self, sign):
+        # the finite-difference matcher diverged here; the root is nontrivial
+        # and continues the orders 7 and 8 above, closer to 8 than 8 is to 7
+        g = Grid.uniform(Domain(0.3, 3.3), 2001)
+        st = solve_picard(SystemParams(1.0, 1.0, 4.0), g, CFG, 9, beta_sign=sign)
+        assert endpoint_residual(st) <= fixedpoint.NEWTON_TOL
+        b7, b8 = self.HARD[7][0], self.HARD[8][0]
+        assert math.copysign(1.0, st.constants.beta) == sign
+        assert abs(abs(st.constants.beta) - b8) < abs(b8 - b7)
 
     @pytest.mark.parametrize("order", [1, 3])
     def test_translation_invariance(self, order):
