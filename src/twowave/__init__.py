@@ -26,11 +26,9 @@ from .closed_form import (
     sample_closed_form,
 )
 from .fixedpoint import (
-    ConvergenceBound,
     IterConfig,
     MatchingConstants,
     PicardState,
-    convergence_bound,
     endpoint_residual,
     first_iterate,
     green_kernel_iterate,
@@ -41,8 +39,10 @@ from .fixedpoint import (
 )
 from .analysis import (
     Certificate,
+    ConvergenceBound,
     LipschitzConstants,
     certify,
+    convergence_bound,
     energy_identity_residual,
     existence_interval_bound,
     green_function,

@@ -1,9 +1,9 @@
 """Certificates and integral diagnostics for the coupled system.
 
-The certificates bound the problem data: Lipschitz constants of the two
-right-hand sides over a box |phi| <= M, |psi| <= Mstar, the largest
-interval length for which the Schauder fixed-point argument applies, and
-the contraction constant A whose condition A < 1 forces uniqueness.
+The certificates bound the problem data over a box |phi| <= M, |psi| <= Mstar:
+sup and Lipschitz bounds of the two right-hand sides, the factorial envelope
+of the Picard differences, the largest interval length for which the Schauder
+argument applies, and the contraction constant A (A < 1 forces uniqueness).
 
 The energy identity and the H1-norm trichotomy are derived for
 r = s = 1; calling them with other coefficients warns but proceeds.
@@ -19,10 +19,10 @@ import numpy as np
 
 from . import quadrature
 from .errors import ConfigurationError, DegenerateBoundsError, DomainError
-from .fixedpoint import ConvergenceBound
 from .model import Bounds, Domain, FieldPair, Grid, SystemParams, _require_finite
 
 _TINY = 1e-300
+_NORM_REL_TOL = 1e-6  # norm_ordering's 'equal': the H1 norms agree to this relative gap
 
 
 @dataclass(frozen=True)
@@ -58,6 +58,37 @@ class Certificate:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+@dataclass(frozen=True)
+class ConvergenceBound:
+    """Sup bounds K1, K2 of |f1|, |f2| over a box (M, Mstar)."""
+
+    K1: float
+    K2: float
+
+    @classmethod
+    def from_bounds(cls, params: SystemParams, M: float, Mstar: float) -> "ConvergenceBound":
+        return cls(
+            K1=(M + M * Mstar) / abs(params.r),
+            K2=(params.alpha * Mstar + 0.5 * M * M) / abs(params.s),
+        )
+
+
+def convergence_bound(bound: ConvergenceBound, L: float, n: int) -> tuple[float, float]:
+    """Factorial bound on the n-th successive difference of the iterates.
+
+    Returns (K1^{n+1} L^{n+2} / (n+2)!, same with K2); dominates
+    ||u_{n+1} - u_n|| on intervals of length L while the iterates stay
+    inside the box the K's were computed from.
+    """
+    if not L > 0.0:
+        raise ConfigurationError("L must be positive")
+    fac = math.factorial(n + 2)
+    return (
+        bound.K1 ** (n + 1) * L ** (n + 2) / fac,
+        bound.K2 ** (n + 1) * L ** (n + 2) / fac,
+    )
 
 
 def lipschitz(params: SystemParams, bounds: Bounds) -> LipschitzConstants:
@@ -176,14 +207,12 @@ def energy_identity_residual(params: SystemParams, grid: Grid, fields: FieldPair
     return abs(lhs - rhs) / max(lhs, rhs, _TINY)
 
 
-def norm_ordering(
-    params: SystemParams, grid: Grid, fields: FieldPair, rel_tol: float = 1e-6
-) -> str:
+def norm_ordering(params: SystemParams, grid: Grid, fields: FieldPair) -> str:
     """Compare ||phi||_1 with sqrt(2) ||psi||_1: 'less', 'equal', or 'greater'."""
     _warn_if_not_unit_coefficients(params, "the norm trichotomy")
     lhs = sobolev_h1_norm(grid, fields.phi)
     rhs = math.sqrt(2.0) * sobolev_h1_norm(grid, fields.psi)
     scale = max(lhs, rhs, _TINY)
-    if abs(lhs - rhs) <= rel_tol * scale:
+    if abs(lhs - rhs) <= _NORM_REL_TOL * scale:
         return "equal"
     return "less" if lhs < rhs else "greater"

@@ -7,6 +7,9 @@ running integral C = `quadrature.cumulative` taken twice; it sees no coordinate:
 
     V(f)(x) = int_{l1}^{x} (x - t) f(t) dt = int_{l1}^{x} int_{l1}^{t} f = C(C(f)).
 
+One lift, `_lift`, computes slope*d + V(g): the sweep lifts f(u), and the
+Newton tangent pass lifts the linearised integrands df(u) du.
+
 * Picard successive approximation on the Volterra form u = slope*d + V(f(u)),
   the textbook double integral, with the unknown left-end slopes
   (beta, gamma) matched so the iterate vanishes at l2.
@@ -79,37 +82,6 @@ class PicardState:
             raise ConfigurationError("diff_norms must have exactly n entries")
 
 
-@dataclass(frozen=True)
-class ConvergenceBound:
-    """Sup bounds K1, K2 of |f1|, |f2| over a box (M, Mstar)."""
-
-    K1: float
-    K2: float
-
-    @classmethod
-    def from_bounds(cls, params: SystemParams, M: float, Mstar: float) -> "ConvergenceBound":
-        return cls(
-            K1=(M + M * Mstar) / abs(params.r),
-            K2=(params.alpha * Mstar + 0.5 * M * M) / abs(params.s),
-        )
-
-
-def convergence_bound(bound: ConvergenceBound, L: float, n: int) -> tuple[float, float]:
-    """Factorial bound on the n-th successive difference of the iterates.
-
-    Returns (K1^{n+1} L^{n+2} / (n+2)!, same with K2); dominates
-    ||u_{n+1} - u_n|| on intervals of length L while the iterates stay
-    inside the box the K's were computed from.
-    """
-    if not L > 0.0:
-        raise ConfigurationError("L must be positive")
-    fac = math.factorial(n + 2)
-    return (
-        bound.K1 ** (n + 1) * L ** (n + 2) / fac,
-        bound.K2 ** (n + 1) * L ** (n + 2) / fac,
-    )
-
-
 def _anchored(grid: Grid) -> np.ndarray:
     """The anchored coordinate d = x - l1, built from 0 so it depends on L only."""
     return np.linspace(0.0, grid.domain.length, grid.n, dtype=grid.nodes.dtype)
@@ -120,24 +92,32 @@ def _volterra(f: np.ndarray, h: float) -> np.ndarray:
     return quadrature.cumulative(quadrature.cumulative(f, h), h)
 
 
-def _sweep(params: SystemParams, d, h: float, fields: FieldPair, slopes: tuple,
-           step: int) -> tuple[FieldPair, list[float]]:
-    """Apply u <- slope*d + V(f(u)) to both fields once.
+def _lift(d, h: float, integrands, slopes) -> list[np.ndarray]:
+    """slope*d + V(g) for each integrand g and slope; a slope of None is -V(g)(l2)/L.
 
-    ``slopes`` holds the left-end slopes of (phi, psi). A slope of None is
-    -V(f)(l2)/L, which zeros that field at l2. Returns the new fields and
-    the sup norms of the two updates; non-finite values raise
-    DivergenceError(step).
+    A generator of integrands is read inside the lift's errstate, so overflow
+    in a blowing-up iterate surfaces as non-finite values for the caller to check.
     """
-    phi, psi = fields.phi, fields.psi
-    new = []
-    # Overflow in a blowing-up iterate surfaces as DivergenceError below.
+    lifted = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for f, slope in zip((eval_f1, eval_f2), slopes):
-            v = _volterra(f(params, phi, psi), h)
+        for g, slope in zip(integrands, slopes):
+            v = _volterra(g, h)
             if slope is None:
                 slope = -v[-1] / d[-1]
-            new.append(np.add(v, slope * d, out=v))
+            lifted.append(np.add(v, slope * d, out=v))
+    return lifted
+
+
+def _sweep(params: SystemParams, d, h: float, fields: FieldPair, slopes: tuple,
+           step: int) -> tuple[FieldPair, list[float]]:
+    """Apply u <- slope*d + V(f(u)) to both fields once: the `_lift` of f(u).
+
+    ``slopes`` holds the left-end slopes of (phi, psi), None as in `_lift`.
+    Returns the new fields and the sup norms of the two updates; non-finite
+    values raise DivergenceError(step).
+    """
+    phi, psi = fields.phi, fields.psi
+    new = _lift(d, h, (f(params, phi, psi) for f in (eval_f1, eval_f2)), slopes)
     try:
         swept = FieldPair(*new)  # the one finite check of the sweep
     except ConfigurationError:
@@ -195,22 +175,15 @@ def match_constants_order1(
 ) -> MatchingConstants:
     """Slopes that make the printed first iterate, `first_iterate`, vanish at the right endpoint.
 
-    gamma = 4! r (1 + L^2/(3! r)) / L^3 and
+    The paper prints gamma = 4! r (1 + L^2/(3! r)) / L^3 and
     beta^2 = 2 (4!)^2 r s (1 + L^2/(3! r)) (1 + alpha L^2/(3! s)) / L^6.
-    Its gamma is twice, and its beta^2 four times, the true order-1 values of
-    `_order1_slopes`; `solve_picard` starts orders >= 2 from these slopes.
+    Its quartic terms are twice the true ones, so these are exactly twice the
+    true order-1 slopes of `_order1_slopes`, and are computed that way; a
+    negative radicand raises with the true one. `solve_picard` starts orders
+    >= 2 from these slopes.
     """
-    L = domain.length
-    r, s, alpha = params.r, params.s, params.alpha
-    first_bracket = 1.0 + L * L / (6.0 * r)
-    radicand = (
-        2.0 * 576.0 * r * s * first_bracket * (1.0 + alpha * L * L / (6.0 * s)) / L**6
-    )
-    if radicand < 0.0:
-        raise NoRealSolutionError(radicand)
-    gamma = 24.0 * r * (1.0 + L * L / (6.0 * r)) / L**3
-    beta = math.copysign(math.sqrt(radicand), beta_sign)
-    return MatchingConstants(beta=beta, gamma=gamma)
+    true = _order1_slopes(params, domain.length, beta_sign)
+    return MatchingConstants(2.0 * true.beta, 2.0 * true.gamma)
 
 
 def _order1_slopes(params: SystemParams, L: float, beta_sign: float) -> MatchingConstants:
@@ -240,27 +213,24 @@ def _endpoint_map(params: SystemParams, grid: Grid, order: int, v,
     """One forward solve: the order-th iterate from slopes v = (beta, gamma) and its values at l2.
 
     With ``tangent`` the same pass also returns the exact Jacobian of those
-    values in (beta, gamma). It carries the two slope directions through
-    the linearised sweep du <- dslope*d + V(df(u) du), with
-    df1 = ((1 - psi) dphi - phi dpsi)/r and df2 = (alpha dpsi - phi dphi)/s,
-    at two more `_volterra` calls per field: a tangent pass costs three
-    forward solves.
+    values in (beta, gamma). It lifts the two slope directions, unit slopes
+    along beta and then gamma, through the linearised sweep
+    du <- dslope*d + V(df(u) du), with df1 = ((1 - psi) dphi - phi dpsi)/r
+    and df2 = (alpha dpsi - phi dphi)/s. That is two more `_volterra` calls
+    per field: a tangent pass costs three forward solves.
     """
+    def df(u, du):  # the linearised integrands, read inside the lift
+        yield ((1.0 - u.psi) * du[0] - u.phi * du[1]) / params.r
+        yield (params.alpha * du[1] - u.phi * du[0]) / params.s
+
     st = initial_state(grid, MatchingConstants(v[0], v[1]))
     if tangent:
         d, h = _anchored(grid), grid.h
-        zero = np.zeros_like(d)
-        dirs = [(d, zero), (zero, d)]  # (dphi, dpsi) along beta, then gamma
+        units = ((1.0, 0.0), (0.0, 1.0))
+        dirs = [(a * d, b * d) for a, b in units]  # iterate 0 of (dphi, dpsi)
     for _ in range(order):
         if tangent:
-            phi, psi = st.fields.phi, st.fields.psi
-            one_minus_psi = 1.0 - psi
-            with np.errstate(over="ignore", invalid="ignore"):
-                for j, (dphi, dpsi) in enumerate(dirs):
-                    new = [_volterra((one_minus_psi * dphi - phi * dpsi) / params.r, h),
-                           _volterra((params.alpha * dpsi - phi * dphi) / params.s, h)]
-                    new[j] += d  # the slope of direction j moves field j alone
-                    dirs[j] = new
+            dirs = [_lift(d, h, df(st.fields, du), unit) for du, unit in zip(dirs, units)]
         st = picard_step(params, grid, st)
     fv = np.array([st.fields.phi[-1], st.fields.psi[-1]])
     jac = np.array([[dirs[0][0][-1], dirs[1][0][-1]],
@@ -287,7 +257,7 @@ def _line_search(params, grid, order, v, fv, jac, res):
         except DivergenceError:
             pass
         else:
-            rt = float(np.abs(ft).sum())
+            rt = endpoint_residual(st)
             if rt < res:
                 return trial, st, ft, rt
         lam *= 0.5
@@ -331,7 +301,7 @@ def solve_picard(
     v = np.array([start.beta, start.gamma])
     state, fv, jac = _endpoint_map(params, grid, order, v, tangent=order > 1)
     exact = jac is not None
-    res = float(np.abs(fv).sum())
+    res = endpoint_residual(state)
     for _ in range(NEWTON_MAX_ITER):
         if res <= NEWTON_TOL:
             break

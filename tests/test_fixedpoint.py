@@ -108,6 +108,32 @@ class TestMatchingConstantsOrder1:
         mc = match_constants_order1(P1, UNIT, beta_sign=-1.0)
         assert mc.beta == pytest.approx(-math.sqrt(1568.0), abs=1e-10)
 
+    @staticmethod
+    def printed(p, L, sign):
+        # the paper's printed radicand: gamma = 4! r (1 + L^2/(3! r)) / L^3,
+        # beta^2 = 2 (4!)^2 r s (1 + L^2/(3! r)) (1 + alpha L^2/(3! s)) / L^6
+        first_bracket = 1.0 + L * L / (6.0 * p.r)
+        second_bracket = 1.0 + p.alpha * L * L / (6.0 * p.s)
+        radicand = 2.0 * 576.0 * p.r * p.s * first_bracket * second_bracket / L**6
+        return math.copysign(math.sqrt(radicand), sign), 24.0 * p.r * first_bracket / L**3
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("L", [0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("rsa", [(1.0, 1.0, 1.0), (2.0, 3.0, 1.5), (1.0, 1.0, 4.0)])
+    def test_twice_the_true_slopes_is_the_printed_formula(self, rsa, L, sign):
+        p = SystemParams(*rsa)
+        mc = match_constants_order1(p, Domain(0.3, 0.3 + L), beta_sign=sign)
+        beta, gamma = self.printed(p, L, sign)
+        assert mc.beta == pytest.approx(beta, rel=1e-15, abs=0.0)
+        assert mc.gamma == pytest.approx(gamma, rel=1e-15, abs=0.0)
+
+    def test_negative_radicand_is_the_true_one(self):
+        # computed as twice the true slopes, the error carries the true
+        # order-1 radicand 24 s gamma (1 + alpha/(6 s)) = -280, not the printed -1120
+        with pytest.raises(NoRealSolutionError) as err:
+            match_constants_order1(SystemParams(1.0, -1.0, 1.0), UNIT)
+        assert err.value.radicand == pytest.approx(-280.0, rel=1e-15)
+
 
 class TestPicardStep:
     def test_trivial_fixed_point(self):
@@ -267,6 +293,21 @@ class TestSolvePicard:
     def test_negative_radicand_rejected(self, order):
         with pytest.raises(NoRealSolutionError):
             solve_picard(SystemParams(1.0, -1.0, 1.0), unit_grid(101), CFG, order)
+
+    def test_tangent_pass_is_pinned(self, monkeypatch):
+        # order 3 on [0, 1]: three forward steps through picard_step and two
+        # lifted directions, 6 _volterra calls per step; the Jacobian is the
+        # one the hand-written linearised sweep gave, bit for bit
+        volterra, steps = [], []
+        vol, step = fixedpoint._volterra, fixedpoint.picard_step
+        monkeypatch.setattr(fixedpoint, "_volterra", lambda *a: volterra.append(1) or vol(*a))
+        monkeypatch.setattr(fixedpoint, "picard_step", lambda *a: steps.append(1) or step(*a))
+        mc = match_constants_order1(P1, UNIT)
+        _, _, jac = fixedpoint._endpoint_map(P1, unit_grid(2001), 3,
+                                             np.array([mc.beta, mc.gamma]), tangent=True)
+        assert len(volterra) == 18 and len(steps) == 3
+        assert jac.tolist() == [[0.890840532138012, -1.8823591001885718],
+                                [-1.8823591001885709, 2.2218694165095596]]
 
     @pytest.mark.parametrize("order", [1, 3, 6])
     def test_tangent_jacobian_matches_central_differences(self, order):
