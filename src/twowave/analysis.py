@@ -155,15 +155,6 @@ def green_function(a: float, b: float, x, y):
     return out
 
 
-def _grid_derivative(u: np.ndarray, h: float) -> np.ndarray:
-    """Central differences inside, second-order one-sided at the endpoints."""
-    du = np.empty_like(u)
-    du[1:-1] = (u[2:] - u[:-2]) / (2.0 * h)
-    du[0] = (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * h)
-    du[-1] = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * h)
-    return du
-
-
 class DirichletWarning(UserWarning):
     """An H1 norm was taken of samples that do not vanish at both endpoints."""
 
@@ -185,22 +176,26 @@ def sobolev_h1_norm(grid: Grid, u: np.ndarray) -> float:
             DirichletWarning,
             stacklevel=2,
         )
-    du = _grid_derivative(u, grid.h)
+    du = np.gradient(u, grid.h, edge_order=2)
     return math.sqrt(quadrature.integrate(u * u, grid.h) + quadrature.integrate(du * du, grid.h))
+
+
+class CoefficientWarning(UserWarning):
+    """A diagnostic derived for r = s = 1 was evaluated with other coefficients."""
 
 
 def _warn_if_not_unit_coefficients(params: SystemParams, what: str) -> None:
     if params.r != 1.0 or params.s != 1.0:
         warnings.warn(f"{what} is derived for r = s = 1; got r={params.r}, s={params.s}",
-                      stacklevel=3)
+                      CoefficientWarning, stacklevel=3)
 
 
 def energy_identity_residual(params: SystemParams, grid: Grid, fields: FieldPair) -> float:
     """Relative defect of int phi^2 + int phi'^2 = 2 alpha int psi^2 + 2 int psi'^2."""
     _warn_if_not_unit_coefficients(params, "the energy identity")
     h = grid.h
-    dphi = _grid_derivative(fields.phi, h)
-    dpsi = _grid_derivative(fields.psi, h)
+    dphi = np.gradient(fields.phi, h, edge_order=2)
+    dpsi = np.gradient(fields.psi, h, edge_order=2)
     lhs = quadrature.integrate(fields.phi**2, h) + quadrature.integrate(dphi**2, h)
     rhs = (2.0 * params.alpha * quadrature.integrate(fields.psi**2, h)
            + 2.0 * quadrature.integrate(dpsi**2, h))

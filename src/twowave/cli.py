@@ -2,9 +2,9 @@
 
 Commands: exact, series, solve, certify, verify. `RunConfig`'s fields are
 the only schema: each is one flag and one key of the `--config` JSON
-document (flags win), and its type and choices are checked once, in
-`RunConfig`. Profiles are `x,phi,psi` CSV (17 significant digits,
-lossless for doubles) or a JSON column document.
+document (flags win) on the commands that read it, and nowhere else. Its
+type and choices are checked once, in `RunConfig`. Profiles are `x,phi,psi`
+CSV (17 significant digits, lossless for doubles) or a JSON column document.
 
 Exit codes: 0 success, 2 configuration error, 3 solver divergence,
 matching failure or non-convergence, 4 I/O or parse error.
@@ -37,33 +37,35 @@ EXIT_SOLVER = 3
 EXIT_IO = 4
 
 
-def _setting(default, help: str, *, choices: tuple = (), flag: str | None = None):
-    """A RunConfig field; its flag's type is type(default)."""
-    return field(default=default, metadata={"help": help, "choices": choices, "flag": flag})
+def _setting(default, help: str, commands: str, *, choices: tuple = (), flag: str | None = None):
+    """A RunConfig field that `commands` read; its flag's type is type(default)."""
+    return field(default=default, metadata={"help": help, "commands": commands.split(),
+                                            "choices": choices, "flag": flag})
 
 
 @dataclass
 class RunConfig:
-    """One run's worth of settings: the CLI flags and the config keys."""
+    """One run's settings; each field names the commands that take its flag and key."""
 
-    r: float = _setting(1.0, "coefficient of phi''")
-    s: float = _setting(1.0, "coefficient of psi''")
-    alpha: float = _setting(1.0, "coefficient of psi in the second equation")
-    l1: float = _setting(-10.0, "left end of the interval")
-    l2: float = _setting(10.0, "right end of the interval")
-    n: int = _setting(2001, "number of grid nodes")
-    c2: float = _setting(0.0, "translation of the exact pair")
-    series_order: int = _setting(0, "series truncation order (0 or 1)", flag="--order")
-    picard_order: int = _setting(1, "number of Picard iterates")
+    r: float = _setting(1.0, "coefficient of phi''", "solve certify verify")
+    s: float = _setting(1.0, "coefficient of psi''", "series solve certify verify")
+    alpha: float = _setting(1.0, "coefficient of psi in the second equation",
+                            "series solve certify verify")
+    l1: float = _setting(-10.0, "left end of the interval", "exact series solve certify")
+    l2: float = _setting(10.0, "right end of the interval", "exact series solve certify")
+    n: int = _setting(2001, "number of grid nodes", "exact series solve")
+    c2: float = _setting(0.0, "translation of the exact pair", "exact")
+    series_order: int = _setting(0, "series truncation order (0 or 1)", "series", flag="--order")
+    picard_order: int = _setting(1, "number of Picard iterates", "solve")
     max_iter: int = _setting(50, "sweep limit of the Green iteration (Picard runs exactly "
-                             "--picard-order iterates)")
-    tol: float = _setting(1e-12, "update norm that ends the Green iteration")
-    method: str = _setting("picard", "solver", choices=("picard", "green"))
-    beta_sign: str = _setting("+", "sign of the matched slope beta", choices=("+", "-"))
+                             "--picard-order iterates)", "solve")
+    tol: float = _setting(1e-12, "update norm that ends the Green iteration", "solve")
+    method: str = _setting("picard", "solver", "solve", choices=("picard", "green"))
+    beta_sign: str = _setting("+", "sign of the matched slope beta", "solve", choices=("+", "-"))
     seed: int = _setting(0, "seed of the Green iteration's start, which is always random: "
-                         "phi and psi uniform on [-1, 1]")
-    format: str = _setting("csv", "profile format", choices=("csv", "json"))
-    out: str = _setting("-", "output path ('-' for stdout)")
+                         "phi and psi uniform on [-1, 1]", "solve")
+    format: str = _setting("csv", "profile format", "exact series solve", choices=("csv", "json"))
+    out: str = _setting("-", "output path ('-' for stdout)", "exact series solve certify verify")
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
@@ -101,7 +103,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             values = json.load(fh)
         if not isinstance(values, dict):
             raise ConfigurationError("config document must be a JSON object")
-        unknown = values.keys() - {f.name for f in _SETTINGS}
+        unknown = values.keys() - {f.name for f in _SETTINGS
+                                   if args.command in f.metadata["commands"]}
         if unknown:
             raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
     values.update((f.name, getattr(args, f.name)) for f in _SETTINGS if hasattr(args, f.name))
@@ -243,20 +246,21 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
     params = cfg.params()
     r1, r2 = model.residual(params, grid, fields)
     with warnings.catch_warnings():
-        # Reported below as dirichlet_endpoints instead of printed.
+        # The last two keys report what the diagnostics would warn about on stderr.
         warnings.simplefilter("ignore", analysis.DirichletWarning)
-        ordering = analysis.norm_ordering(params, grid, fields)
-    report = {
-        "file": args.input_profile,
-        "n": int(n),
-        "domain": [float(x[0]), float(x[-1])],
-        "max_residual_phi": float(np.max(np.abs(r1))),
-        "max_residual_psi": float(np.max(np.abs(r2))),
-        "boundary_values": [float(phi[0]), float(phi[-1]), float(psi[0]), float(psi[-1])],
-        "energy_identity_residual": analysis.energy_identity_residual(params, grid, fields),
-        "norm_ordering": ordering,
-        "dirichlet_endpoints": all(map(analysis.dirichlet_endpoints, (phi, psi))),
-    }
+        warnings.simplefilter("ignore", analysis.CoefficientWarning)
+        report = {
+            "file": args.input_profile,
+            "n": int(n),
+            "domain": [float(x[0]), float(x[-1])],
+            "max_residual_phi": float(np.max(np.abs(r1))),
+            "max_residual_psi": float(np.max(np.abs(r2))),
+            "boundary_values": [float(phi[0]), float(phi[-1]), float(psi[0]), float(psi[-1])],
+            "energy_identity_residual": analysis.energy_identity_residual(params, grid, fields),
+            "norm_ordering": analysis.norm_ordering(params, grid, fields),
+            "dirichlet_endpoints": all(map(analysis.dirichlet_endpoints, (phi, psi))),
+            "unit_coefficients": params.r == params.s == 1.0,
+        }
     _write_json(cfg.out, report)
     return EXIT_OK
 
@@ -293,9 +297,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input_profile")
     p.set_defaults(func=cmd_verify)
 
-    for p in sub.choices.values():
+    for command, p in sub.choices.items():
         p.add_argument("--config", help="JSON config document; flags override its fields")
-        for f in _SETTINGS:
+        for f in (f for f in _SETTINGS if command in f.metadata["commands"]):
             choices = f.metadata["choices"]
             p.add_argument(f.metadata["flag"] or "--" + f.name.replace("_", "-"),
                            dest=f.name, type=type(f.default), default=argparse.SUPPRESS,

@@ -1,12 +1,20 @@
+import argparse
+import ast
+import dataclasses
+import inspect
 import json
 import math
+import textwrap
 
 import numpy as np
 import pytest
 
-from twowave import cli
+from twowave import cli, fixedpoint
 from twowave.cli import main, read_profile, write_profile
 from twowave.errors import ProfileParseError
+
+# No CLI path may leak a warning: diagnostics are reported, failures exit nonzero.
+pytestmark = pytest.mark.filterwarnings("error")
 
 
 def run_cli(*args):
@@ -121,6 +129,21 @@ class TestSolveCommand:
         meta = json.loads((tmp_path / "g.csv.meta.json").read_text())
         assert 50 < meta["iterations"] < 2000 and meta["final_diff"] < 1e-12
 
+    def test_matching_failure_exits_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(fixedpoint, "NEWTON_TOL", 0.0)
+        out = tmp_path / "s.csv"
+        assert run_cli("solve", "--l1", 0, "--l2", 1, "--n", 201, "--out", out) == 3
+        assert capsys.readouterr().err.startswith("error: boundary matching failed")
+        assert not out.exists()
+
+    def test_stdout_gets_profile_and_stderr_gets_meta(self, capsys):
+        assert run_cli("solve", "--l1", 0, "--l2", 1, "--n", 5, "--out", "-") == 0
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert lines[0] == "x,phi,psi" and len(lines) == 6
+        meta = json.loads(captured.err)
+        assert meta["method"] == "picard" and meta["order"] == 1
+
     def test_json_format(self, tmp_path):
         out = tmp_path / "g.json"
         run_cli("solve", "--method", "green", "--l1", 0, "--l2", 1, "--n", 101,
@@ -213,6 +236,27 @@ class TestVerifyCommand:
     def test_missing_file(self):
         assert run_cli("verify", "/does/not/exist.csv") == 4
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"x": [0, 0.5, 1], "phi": [0, 0, 0]', "error: bad JSON profile"),
+        ('{"x": [0, 0.5, 1], "phi": [0, 0, 0], "psi": [0, 0]}',
+         "error: x, phi, psi columns must have equal length"),
+    ], ids=["malformed", "unequal-columns"])
+    def test_bad_json_profile_exits_4(self, tmp_path, capsys, text, message):
+        prof = tmp_path / "p.json"
+        prof.write_text(text)
+        assert run_cli("verify", prof, "--out", tmp_path / "r.json") == 4
+        assert capsys.readouterr().err.startswith(message)
+
+    @pytest.mark.parametrize("flags, unit", [([], True), (["--r", 2], False), (["--s", 2], False)],
+                             ids=["default", "r-2", "s-2"])
+    def test_non_unit_coefficients_reported_not_warned(self, tmp_path, capsys, flags, unit):
+        prof, rep = tmp_path / "p.csv", tmp_path / "r.json"
+        assert run_cli("exact", "--n", 101, "--out", prof) == 0
+        capsys.readouterr()
+        assert run_cli("verify", prof, *flags, "--out", rep) == 0
+        assert capsys.readouterr().err == ""
+        assert json.loads(rep.read_text())["unit_coefficients"] is unit
+
     @pytest.mark.parametrize("name, text", [
         ("p.csv", "x,phi,psi\n0,0,0\n0.5,nan,0\n1,0,0\n"),
         ("p.json", '{"x": [0, 0.5, 1], "phi": [0, 0, 0], "psi": [0, Infinity, 0]}'),
@@ -261,6 +305,19 @@ class TestConfigDocument:
         cfgfile.write_text(json.dumps(doc))
         assert run_cli("exact", "--config", cfgfile) == 2
         assert capsys.readouterr().err.startswith("error: unknown config keys")
+
+    def test_non_object_document_exits_2(self, tmp_path, capsys):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text("[1, 2]")
+        assert run_cli("exact", "--config", cfgfile) == 2
+        assert capsys.readouterr().err.startswith("error: config document must be a JSON object")
+
+    def test_integer_accepted_for_float_key(self, tmp_path):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text('{"l1": 0, "l2": 3, "n": 4}')
+        out = tmp_path / "p.csv"
+        assert run_cli("exact", "--config", cfgfile, "--out", out) == 0
+        assert read_profile(str(out))[0].tolist() == [0.0, 1.0, 2.0, 3.0]
 
     def test_even_n_accepted(self, tmp_path):
         out = tmp_path / "p.csv"
@@ -378,3 +435,76 @@ class TestParserReuse:
         monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
         fresh = run_all(tmp_path / "fresh")
         assert len(fresh) == 10 and cached == fresh
+
+
+class _TakeBranch(ast.NodeTransformer):
+    """Keep only the branch of an `if args.kind == ...` test that `kind` takes."""
+
+    def __init__(self, kind):
+        self.kind = kind
+
+    def visit_If(self, node):
+        self.generic_visit(node)
+        if not ast.unparse(node.test).startswith("args.kind == "):
+            return node
+        return node.body if ast.literal_eval(node.test.comparators[0]) == self.kind else node.orelse
+
+
+def _settings_read(func, kind=None) -> set:
+    """Settings `func` reads as cfg.<name> or self.<name>, RunConfig's helpers expanded."""
+    tree = _TakeBranch(kind).visit(ast.parse(textwrap.dedent(inspect.getsource(func))))
+    names = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in ("cfg", "self")):
+            helper = getattr(cli.RunConfig, node.attr)
+            names |= _settings_read(helper) if callable(helper) else {node.attr}
+    return names
+
+
+def _subparsers():
+    parser = cli.build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+SETTINGS = {f.name for f in dataclasses.fields(cli.RunConfig)}
+COMMAND_KINDS = [("exact", "exact"), ("series", "bright"), ("solve", None), ("certify", None),
+                 ("verify", None)]
+# Arguments a command needs besides the settings under test.
+REQUIRED = {"series": ["bright"], "certify": ["--M", "1", "--Mstar", "1"], "verify": ["p.csv"]}
+
+
+class TestSettingsPerCommand:
+    @pytest.mark.parametrize("command, kind", COMMAND_KINDS)
+    def test_registered_flags_are_the_settings_the_handler_reads(self, command, kind):
+        p = _subparsers()[command]
+        registered = {a.dest for a in p._actions if a.dest in SETTINGS}
+        assert registered == _settings_read(p.get_default("func"), kind)
+
+    def test_flag_slots(self):
+        assert sum(len(f.metadata["commands"]) for f in dataclasses.fields(cli.RunConfig)) == 38
+
+    @pytest.mark.parametrize("argv", [
+        ["exact", "--alpha", 4],
+        ["verify", "p.csv", "--format", "csv"],
+        ["certify", "--M", 1, "--Mstar", 1, "--n", 5],
+        ["series", "bright", "--r", 2],
+    ], ids=["exact-alpha", "verify-format", "certify-n", "series-r"])
+    def test_unread_flag_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            run_cli(*argv)
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, kind", COMMAND_KINDS)
+    def test_config_takes_exactly_the_settings_read(self, tmp_path, capsys, command, kind):
+        reads = _settings_read(_subparsers()[command].get_default("func"), kind)
+        cfgfile = tmp_path / "cfg.json"
+        argv = [command, *REQUIRED.get(command, []), "--config", str(cfgfile)]
+        defaults = cli.RunConfig()
+        cfgfile.write_text(json.dumps({name: getattr(defaults, name) for name in reads}))
+        assert cli.build_config(cli.build_parser().parse_args(argv)) == defaults
+        for name in sorted(SETTINGS - reads):
+            cfgfile.write_text(json.dumps({name: getattr(defaults, name)}))
+            assert run_cli(*argv) == 2
+            assert capsys.readouterr().err == f"error: unknown config keys: ['{name}']\n"

@@ -29,6 +29,7 @@ from twowave import (
 from twowave.errors import (
     ConfigurationError,
     DivergenceError,
+    MatchingFailureError,
     NoRealSolutionError,
     NotConvergedError,
 )
@@ -293,6 +294,15 @@ class TestSolvePicard:
     def test_negative_radicand_rejected(self, order):
         with pytest.raises(NoRealSolutionError):
             solve_picard(SystemParams(1.0, -1.0, 1.0), unit_grid(101), CFG, order)
+
+    @pytest.mark.parametrize("order", [1, 3])
+    def test_unreachable_tolerance_raises_matching_failure(self, monkeypatch, order):
+        # the matched residual is 3.6e-15 here, so a zero tolerance exhausts
+        # the line search on an exact Jacobian
+        monkeypatch.setattr(fixedpoint, "NEWTON_TOL", 0.0)
+        with pytest.raises(MatchingFailureError) as info:
+            solve_picard(P1, unit_grid(201), CFG, order)
+        assert 0.0 < info.value.residual < 1e-12
 
     def test_tangent_pass_is_pinned(self, monkeypatch):
         # order 3 on [0, 1]: three forward steps through picard_step and two
