@@ -323,6 +323,9 @@ _EXIT_CODES = {
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed its usage error (2) or --help (0)
+        return exc.code
+    try:
         return args.func(build_config(args), args)
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)

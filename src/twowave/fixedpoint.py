@@ -41,6 +41,10 @@ from .model import Domain, FieldPair, Grid, SystemParams, _require_finite, eval_
 # Newton matching succeeds once |phi(l2)| + |psi(l2)| <= NEWTON_TOL.
 NEWTON_MAX_ITER = 50
 NEWTON_TOL = 1e-11
+# Orders >= 2 on grids of more than SEQUENCE_ABOVE nodes are matched on
+# COARSE_N nodes first and finished on the fine grid.
+COARSE_N = 2001
+SEQUENCE_ABOVE = 4001
 
 
 @dataclass(frozen=True)
@@ -264,43 +268,16 @@ def _line_search(params, grid, order, v, fv, jac, res):
     return None
 
 
-def solve_picard(
-    params: SystemParams,
-    grid: Grid,
-    cfg: IterConfig,
-    order: int,
-    beta_sign: float = 1.0,
-) -> PicardState:
-    """Run `order` Picard steps with slopes matched at the right endpoint.
+def _newton(params, grid, order, v, jac=None) -> tuple[PicardState, np.ndarray | None]:
+    """Newton-match the slopes from v: the accepted order-th iterate and the last Jacobian.
 
-    The result is always the order-th iterate. A damped quasi-Newton
-    iteration drives the endpoint values of the order-th iterate to zero,
-    and the iterate of the accepted slopes is returned as computed.
-
-    * Order 1 starts from the true closed-form root `_order1_slopes`, where
-      the residual is already below NEWTON_TOL: one forward solve.
-    * Orders >= 2 start from `match_constants_order1`, and their first
-      forward solve is a tangent pass, which also gives the exact Jacobian
-      of the endpoint map (`_endpoint_map`).
-    * Each accepted line-search trial updates the Jacobian by Broyden's
-      rank-1 formula, with no further solves.
-    * If the line search fails on a Broyden Jacobian, the exact Jacobian is
-      recomputed once at the current slopes and the search retried; it
-      fails with MatchingFailureError only on an exact Jacobian.
-
-    A Picard solve reads nothing from ``cfg``, whose limits govern only the
-    Green iteration. For the iterates of fixed slopes, walk
-    `initial_state` -> `picard_step` instead.
+    Without ``jac`` the first forward solve of orders >= 2 is a tangent pass,
+    which also gives the exact Jacobian; a given ``jac`` is used as is, with
+    one plain forward solve, and is not taken as exact.
     """
-    if order < 1:
-        raise ConfigurationError("order must be >= 1")
-    if order == 1:
-        start = _order1_slopes(params, grid.domain.length, beta_sign)
-    else:
-        start = match_constants_order1(params, domain=grid.domain, beta_sign=beta_sign)
-    v = np.array([start.beta, start.gamma])
-    state, fv, jac = _endpoint_map(params, grid, order, v, tangent=order > 1)
-    exact = jac is not None
+    exact = jac is None and order > 1
+    state, fv, tangent_jac = _endpoint_map(params, grid, order, v, tangent=exact)
+    jac = tangent_jac if exact else jac
     res = endpoint_residual(state)
     for _ in range(NEWTON_MAX_ITER):
         if res <= NEWTON_TOL:
@@ -320,7 +297,55 @@ def solve_picard(
         v, fv = trial, ft
     if res > NEWTON_TOL:
         raise MatchingFailureError(res)
-    return state
+    return state, jac
+
+
+def solve_picard(
+    params: SystemParams,
+    grid: Grid,
+    cfg: IterConfig,
+    order: int,
+    beta_sign: float = 1.0,
+) -> PicardState:
+    """Run `order` Picard steps with slopes matched at the right endpoint.
+
+    The result is always the order-th iterate of ``grid``. A damped
+    quasi-Newton iteration drives the endpoint values of the order-th iterate
+    to zero, and the iterate of the accepted slopes is returned as computed.
+
+    * Order 1 starts from the true closed-form root `_order1_slopes`, where
+      the residual is already below NEWTON_TOL: one forward solve.
+    * Orders >= 2 start from `match_constants_order1`, and their first
+      forward solve is a tangent pass, which also gives the exact Jacobian
+      of the endpoint map (`_endpoint_map`).
+    * Each accepted line-search trial updates the Jacobian by Broyden's
+      rank-1 formula, with no further solves.
+    * If the line search fails on a Broyden Jacobian, the exact Jacobian is
+      recomputed once at the current slopes and the search retried; it
+      fails with MatchingFailureError only on an exact Jacobian.
+    * Orders >= 2 on a grid of more than SEQUENCE_ABOVE nodes are matched
+      first on COARSE_N nodes of the same domain, where the root differs
+      from the fine one only at Simpson's O(h^4) level. The same iteration
+      then finishes on ``grid`` from the coarse slopes, with one plain
+      forward solve and the coarse Jacobian taken as not exact: if its line
+      search fails, one exact fine-grid tangent pass replaces it.
+
+    A Picard solve reads nothing from ``cfg``, whose limits govern only the
+    Green iteration. For the iterates of fixed slopes, walk
+    `initial_state` -> `picard_step` instead.
+    """
+    if order < 1:
+        raise ConfigurationError("order must be >= 1")
+    if order == 1:
+        start = _order1_slopes(params, grid.domain.length, beta_sign)
+    else:
+        start = match_constants_order1(params, domain=grid.domain, beta_sign=beta_sign)
+    v, jac = np.array([start.beta, start.gamma]), None
+    if order > 1 and grid.n > SEQUENCE_ABOVE:
+        coarse = Grid.uniform(grid.domain, COARSE_N, dtype=grid.nodes.dtype)
+        state, jac = _newton(params, coarse, order, v)
+        v = np.array([state.constants.beta, state.constants.gamma])
+    return _newton(params, grid, order, v, jac)[0]
 
 
 def green_kernel_iterate(

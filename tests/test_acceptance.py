@@ -42,6 +42,7 @@ from twowave import (
     solve_picard,
     sup_norms,
 )
+from twowave.analysis import DirichletWarning
 from twowave.cli import main as cli_main, read_profile
 
 P1 = SystemParams(1.0, 1.0, 1.0)
@@ -139,7 +140,8 @@ class TestCriterion4EnergyIdentity:
         g = Grid.uniform(Domain(-20.0, 20.0), 4001)
         f = sample_closed_form("exact", g, ExactSolutionParams(0.0))
         res = energy_identity_residual(P1, g, f)
-        verdict = norm_ordering(P1, g, f)
+        with pytest.warns(DirichletWarning):  # the pair is 1.2e-8 and 1.7e-8 at the ends
+            verdict = norm_ordering(P1, g, f)
         report(
             "4 (energy identity + trichotomy)",
             res <= 1e-6 and verdict == "equal",

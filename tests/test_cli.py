@@ -491,10 +491,18 @@ class TestSettingsPerCommand:
         ["series", "bright", "--r", 2],
     ], ids=["exact-alpha", "verify-format", "certify-n", "series-r"])
     def test_unread_flag_exits_2(self, capsys, argv):
-        with pytest.raises(SystemExit) as info:
-            run_cli(*argv)
-        assert info.value.code == 2
+        assert run_cli(*argv) == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, code, stream, text", [
+        (["certify", "--Mstar", 1], 2, "err", "the following arguments are required: --M"),
+        (["series", "grey"], 2, "err", "invalid choice: 'grey'"),
+        (["--help"], 0, "out", "usage:"),
+        (["solve", "--help"], 0, "out", "usage:"),
+    ], ids=["certify-no-M", "series-kind", "help", "solve-help"])
+    def test_argparse_exit_is_returned(self, capsys, argv, code, stream, text):
+        assert run_cli(*argv) == code
+        assert text in getattr(capsys.readouterr(), stream)
 
     @pytest.mark.parametrize("command, kind", COMMAND_KINDS)
     def test_config_takes_exactly_the_settings_read(self, tmp_path, capsys, command, kind):

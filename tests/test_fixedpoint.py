@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -360,6 +361,63 @@ class TestSolvePicard:
         b7, b8 = self.HARD[7][0], self.HARD[8][0]
         assert math.copysign(1.0, st.constants.beta) == sign
         assert abs(abs(st.constants.beta) - b8) < abs(b8 - b7)
+
+    @pytest.mark.parametrize("order", [3, 6])
+    @pytest.mark.parametrize("params, domain", [(P1, UNIT),
+                                                (SystemParams(1.0, 1.0, 4.0), Domain(0.3, 3.3))],
+                             ids=["unit", "hard"])
+    def test_sequenced_match_is_the_direct_fine_match(self, params, domain, order):
+        # the coarse root differs from the fine one at Simpson's O(h^4) level
+        # only, so finishing on the fine grid lands on the root that a match
+        # run wholly on the fine grid, from the same start, finds
+        g = Grid.uniform(domain, 20001)
+        mc = match_constants_order1(params, domain)
+        direct, _ = fixedpoint._newton(params, g, order, np.array([mc.beta, mc.gamma]))
+        st = solve_picard(params, g, CFG, order)
+        assert st.n == order and st.fields.phi.shape == (20001,)
+        assert endpoint_residual(st) <= fixedpoint.NEWTON_TOL
+        assert st.constants.beta == pytest.approx(direct.constants.beta, rel=1e-9)
+        assert st.constants.gamma == pytest.approx(direct.constants.gamma, rel=1e-9)
+
+    def test_sequenced_fine_work_is_pinned(self, monkeypatch):
+        # order 3 on [0, 1] at n = 20001: the coarse match is the n = 2001
+        # match of test_match_returns_the_accepted_iterate, step for step,
+        # and the fine grid takes one plain solve and one line-search trial,
+        # with no tangent pass: two _volterra calls per step
+        steps, volterra = Counter(), Counter()
+        step, vol = fixedpoint.picard_step, fixedpoint._volterra
+        monkeypatch.setattr(fixedpoint, "picard_step",
+                            lambda p, g, s: steps.update([g.n]) or step(p, g, s))
+        monkeypatch.setattr(fixedpoint, "_volterra",
+                            lambda f, h: volterra.update([len(f)]) or vol(f, h))
+        st = solve_picard(P1, unit_grid(20001), CFG, 3)
+        assert steps[fixedpoint.COARSE_N] == 6 * 3
+        assert steps[20001] <= 2 * 3 and set(steps) == {fixedpoint.COARSE_N, 20001}
+        assert volterra[20001] == 2 * steps[20001]
+        assert endpoint_residual(st) <= fixedpoint.NEWTON_TOL
+
+    def test_bad_coarse_jacobian_falls_back_to_one_exact_fine_pass(self, monkeypatch):
+        # a coarse Jacobian of the wrong sign sends the fine line search uphill
+        # until it fails; one exact tangent pass on the fine grid recovers
+        ref = solve_picard(P1, unit_grid(20001), CFG, 3)
+        newton, endpoint_map = fixedpoint._newton, fixedpoint._endpoint_map
+        tangents = []
+
+        def bad_coarse(params, grid, order, v, jac=None):
+            state, jac = newton(params, grid, order, v, jac)
+            return state, -jac if grid.n == fixedpoint.COARSE_N else jac
+
+        def counted(params, grid, order, v, tangent=False):
+            tangents.append((grid.n, tangent))
+            return endpoint_map(params, grid, order, v, tangent)
+
+        monkeypatch.setattr(fixedpoint, "_newton", bad_coarse)
+        monkeypatch.setattr(fixedpoint, "_endpoint_map", counted)
+        st = solve_picard(P1, unit_grid(20001), CFG, 3)
+        assert endpoint_residual(st) <= fixedpoint.NEWTON_TOL
+        assert tangents.count((20001, True)) == 1
+        assert st.constants.beta == pytest.approx(ref.constants.beta, rel=1e-9)
+        assert st.constants.gamma == pytest.approx(ref.constants.gamma, rel=1e-9)
 
     @pytest.mark.parametrize("order", [1, 3])
     def test_translation_invariance(self, order):
