@@ -4,7 +4,8 @@ Commands: exact, series, solve, certify, verify. `RunConfig`'s fields are
 the only schema: each is one flag and one key of the `--config` JSON
 document (flags win) on the commands that read it, and nowhere else. Its
 type and choices are checked once, in `RunConfig`. Profiles are `x,phi,psi`
-CSV (17 significant digits, lossless for doubles) or a JSON column document.
+CSV (17 significant digits, lossless for doubles) or a one-line JSON column
+document.
 
 Exit codes: 0 success, 2 configuration error, 3 solver divergence,
 matching failure or non-convergence, 4 I/O or parse error.
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
 import sys
 import warnings
@@ -100,7 +102,11 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     values = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            values = json.load(fh)
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise ConfigurationError(f"config document is not UTF-8 text: {exc}") from None
+        values = json.loads(text)
         if not isinstance(values, dict):
             raise ConfigurationError("config document must be a JSON object")
         unknown = values.keys() - {f.name for f in _SETTINGS
@@ -112,16 +118,20 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 
 
 _CSV_HEADER = "x,phi,psi"
-_CSV_ROW = "{:.17g},{:.17g},{:.17g}\n"
+_CSV_ROW = "%.17g,%.17g,%.17g\n"
 
 
 def write_profile(path, x, phi, psi, fmt: str = "csv") -> None:
-    """Write x, phi, psi arrays as `x,phi,psi` CSV or as a JSON column document."""
-    cols = (x.tolist(), phi.tolist(), psi.tolist())
+    """Write x, phi, psi arrays as `x,phi,psi` CSV or as a one-line JSON column document.
+
+    Both render in C: all CSV rows in one `%` call, and the JSON through the
+    C encoder, which `json.dumps` uses only without `indent`.
+    """
     if fmt == "csv":
-        text = _CSV_HEADER + "\n" + "".join(map(_CSV_ROW.format, *cols))
+        values = np.column_stack((x, phi, psi)).ravel().tolist()
+        text = _CSV_HEADER + "\n" + (_CSV_ROW * len(x)) % tuple(values)
     else:
-        text = json.dumps(dict(zip(("x", "phi", "psi"), cols)), indent=2) + "\n"
+        text = json.dumps({"x": x.tolist(), "phi": phi.tolist(), "psi": psi.tolist()}) + "\n"
     _write_text(path, text)
 
 
@@ -199,7 +209,10 @@ def cmd_certify(cfg: RunConfig, args: argparse.Namespace) -> int:
 def read_profile(path: str):
     """Parse an (x, phi, psi) profile file; returns three float arrays."""
     with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ProfileParseError(f"profile is not UTF-8 text: {exc}") from None
     if text.lstrip().startswith("{"):
         try:
             doc = json.loads(text)
@@ -211,27 +224,43 @@ def read_profile(path: str):
         if not (x.ndim == 1 and x.shape == phi.shape == psi.shape):
             raise ProfileParseError("x, phi, psi columns must have equal length")
     else:
-        rows = []
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if lineno == 1 and line.lower().replace(" ", "") == _CSV_HEADER:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise ProfileParseError(f"expected 3 comma-separated values, got {len(parts)}",
-                                        line=lineno)
-            try:
-                rows.append(tuple(float(v) for v in parts))
-            except ValueError as exc:
-                raise ProfileParseError(f"bad number: {exc}", line=lineno)
-        x, phi, psi = np.asarray(rows, dtype=float).reshape(-1, 3).T
+        x, phi, psi = _parse_csv(text)
     if len(x) < 3:
         raise ProfileParseError("profile needs at least 3 rows")
     if not all(np.isfinite(col).all() for col in (x, phi, psi)):
         raise ProfileParseError("profile values must be finite")
     return x, phi, psi
+
+
+def _parse_csv(text: str) -> np.ndarray:
+    """The x, phi, psi columns of CSV text: blank lines skipped, a header only on line 1.
+
+    Every row is converted by one `float` map over the whole file. Only if a
+    row does not hold 3 fields or a field is not a number are the lines
+    walked, to name the first bad one.
+    """
+    lines = list(map(str.strip, text.splitlines()))
+    first = 1 if lines and lines[0].lower().replace(" ", "") == _CSV_HEADER else 0
+    rows = list(filter(None, lines[first:]))
+    if set(map(str.count, rows, itertools.repeat(","))) <= {2}:
+        try:
+            values = list(map(float, ",".join(rows).split(","))) if rows else []
+        except ValueError:
+            pass
+        else:
+            return np.array(values, dtype=float).reshape(-1, 3).T
+    for lineno, line in enumerate(lines[first:], start=first + 1):
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 3:
+            raise ProfileParseError(f"expected 3 comma-separated values, got {len(parts)}",
+                                    line=lineno)
+        try:
+            list(map(float, parts))
+        except ValueError as exc:
+            raise ProfileParseError(f"bad number: {exc}", line=lineno) from None
+    raise AssertionError("the CSV rows failed to convert, but no line is bad")
 
 
 def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:

@@ -8,6 +8,7 @@ import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from twowave import cli, fixedpoint
 from twowave.cli import main, read_profile, write_profile
@@ -236,6 +237,12 @@ class TestVerifyCommand:
     def test_missing_file(self):
         assert run_cli("verify", "/does/not/exist.csv") == 4
 
+    def test_non_utf8_profile_exits_4(self, tmp_path, capsys):
+        prof = tmp_path / "bin.csv"
+        prof.write_bytes(b"\xff0,0,0\n0.5,0,0\n1,0,0\n")
+        assert run_cli("verify", prof, "--out", tmp_path / "r.json") == 4
+        assert capsys.readouterr().err.startswith("error: profile is not UTF-8 text: ")
+
     @pytest.mark.parametrize("text, message", [
         ('{"x": [0, 0.5, 1], "phi": [0, 0, 0]', "error: bad JSON profile"),
         ('{"x": [0, 0.5, 1], "phi": [0, 0, 0], "psi": [0, 0]}',
@@ -305,6 +312,12 @@ class TestConfigDocument:
         cfgfile.write_text(json.dumps(doc))
         assert run_cli("exact", "--config", cfgfile) == 2
         assert capsys.readouterr().err.startswith("error: unknown config keys")
+
+    def test_non_utf8_document_exits_2(self, tmp_path, capsys):
+        cfgfile = tmp_path / "bad.json"
+        cfgfile.write_bytes(b'\xff{"n": 5}')
+        assert run_cli("exact", "--config", cfgfile, "--out", tmp_path / "p.csv") == 2
+        assert capsys.readouterr().err.startswith("error: config document is not UTF-8 text: ")
 
     def test_non_object_document_exits_2(self, tmp_path, capsys):
         cfgfile = tmp_path / "cfg.json"
@@ -406,6 +419,43 @@ class TestProfileFormat:
         with pytest.raises(ProfileParseError) as info:
             read_profile(str(prof))
         assert str(info.value).startswith(message)
+
+    # The first bad line in file order is reported, whatever is wrong with it.
+    @pytest.mark.parametrize("line3, line5, message", [
+        ("0.1,oops,0", "0.2,1", "line 3: bad number: could not convert string to float: 'oops'"),
+        ("0.2,1", "0.1,oops,0", "line 3: expected 3 comma-separated values, got 2"),
+        ("0.1,0,0,0", "0.2,1", "line 3: expected 3 comma-separated values, got 4"),
+    ], ids=["bad-number-first", "short-row-first", "field-total-still-3-per-row"])
+    def test_first_bad_line_reported(self, tmp_path, line3, line5, message):
+        prof = tmp_path / "p.csv"
+        prof.write_text(f"x,phi,psi\n0,0,0\n{line3}\n0.15,0,0\n{line5}\n0.3,0,0\n")
+        with pytest.raises(ProfileParseError) as info:
+            read_profile(str(prof))
+        assert str(info.value) == message
+
+    _EXTREMES = [(-0.0, 5e-324, 1.7976931348623157e308),
+                 (5e-324, -1.7976931348623157e308, -0.0),
+                 (1.7976931348623157e308, -0.0, -5e-324)]
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(rows=st.lists(st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 3),
+                         min_size=3, max_size=60),
+           fmt=st.sampled_from(["csv", "json"]))
+    @example(rows=_EXTREMES, fmt="csv")
+    @example(rows=_EXTREMES, fmt="json")
+    def test_round_trip_property(self, tmp_path, rows, fmt):
+        cols = [np.array(col, dtype=float) for col in zip(*rows)]
+        out = tmp_path / f"p.{fmt}"
+        write_profile(str(out), *cols, fmt)
+        for got, want in zip(read_profile(str(out)), cols):
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+        if fmt == "csv":
+            ref = "x,phi,psi\n" + "".join(f"{a:.17g},{b:.17g},{c:.17g}\n" for a, b, c in rows)
+            assert out.read_bytes() == ref.encode()
+        else:
+            text = out.read_text()
+            assert text.count("\n") == 1 and text.endswith("}\n")
+            assert json.loads(text) == dict(zip(("x", "phi", "psi"), map(list, zip(*rows))))
 
 
 class TestParserReuse:
