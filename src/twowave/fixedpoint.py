@@ -91,42 +91,64 @@ def _anchored(grid: Grid) -> np.ndarray:
     return np.linspace(0.0, grid.domain.length, grid.n, dtype=grid.nodes.dtype)
 
 
-def _volterra(f: np.ndarray, h: float) -> np.ndarray:
-    """V(f) = int_{l1}^{x_k} (x_k - t) f(t) dt, the running integral taken twice."""
-    return quadrature.cumulative(quadrature.cumulative(f, h), h)
+def _volterra(f: np.ndarray, h: float, c1=None, out=None) -> np.ndarray:
+    """V(f) = int_{l1}^{x_k} (x_k - t) f(t) dt, the running integral taken twice.
 
-
-def _lift(d, h: float, integrands, slopes) -> list[np.ndarray]:
-    """slope*d + V(g) for each integrand g and slope; a slope of None is -V(g)(l2)/L.
-
-    A generator of integrands is read inside the lift's errstate, so overflow
-    in a blowing-up iterate surfaces as non-finite values for the caller to check.
+    The first running integral goes into ``c1`` and V(f) into ``out``, each fresh when None.
     """
-    lifted = []
+    return quadrature.cumulative(quadrature.cumulative(f, h, out=c1), h, out=out)
+
+
+def _empty(like: np.ndarray, k: int) -> list[np.ndarray]:
+    """k uninitialised arrays of like's shape and dtype."""
+    return [np.empty_like(like) for _ in range(k)]
+
+
+def _lift(d, h: float, integrands, slopes, out, scratch) -> list[np.ndarray]:
+    """slope*d + V(g) into out[i] for each integrand g and slope; a slope of None is -V(g)(l2)/L.
+
+    ``scratch``, like ``out``'s arrays, holds each first running integral and
+    then slope*d. A generator of integrands is read inside the lift's
+    errstate, so overflow in a blowing-up iterate surfaces as non-finite
+    values for the caller to check.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
-        for g, slope in zip(integrands, slopes):
-            v = _volterra(g, h)
+        for g, slope, v in zip(integrands, slopes, out):
+            _volterra(g, h, scratch, v)
             if slope is None:
                 slope = -v[-1] / d[-1]
-            lifted.append(np.add(v, slope * d, out=v))
-    return lifted
+            np.add(v, np.multiply(d, slope, out=scratch), out=v)
+    return out
 
 
 def _sweep(params: SystemParams, d, h: float, fields: FieldPair, slopes: tuple,
-           step: int) -> tuple[FieldPair, list[float]]:
+           step: int, out=None, work=None) -> tuple[FieldPair, list[float]]:
     """Apply u <- slope*d + V(f(u)) to both fields once: the `_lift` of f(u).
 
     ``slopes`` holds the left-end slopes of (phi, psi), None as in `_lift`.
-    Returns the new fields and the sup norms of the two updates; non-finite
-    values raise DivergenceError(step).
+    The new fields go into the pair ``out``, and ``work`` holds two buffers,
+    the integrand f(u) and the scratch; all are like the fields and share no
+    memory with them, and fresh ones are made for None. Returns the new
+    fields and the sup norms of the two updates; non-finite values raise
+    DivergenceError(step).
     """
     phi, psi = fields.phi, fields.psi
-    new = _lift(d, h, (f(params, phi, psi) for f in (eval_f1, eval_f2)), slopes)
+    # Work buffers before the fields that outlive them: freed below those,
+    # their memory is reused instead of trimmed from the heap top and faulted in again.
+    g, scratch = _empty(phi, 2) if work is None else work
+    out = _empty(phi, 2) if out is None else out
+
+    def integrands():  # f(u) into g, read inside the lift
+        yield eval_f1(params, phi, psi, out=g)
+        yield eval_f2(params, phi, psi, out=g, scratch=scratch)
+
+    new = _lift(d, h, integrands(), slopes, out, scratch)
     try:
         swept = FieldPair(*new)  # the one finite check of the sweep
     except ConfigurationError:
         raise DivergenceError(step) from None
-    return swept, [float(np.max(np.abs(u - old))) for u, old in zip(new, (phi, psi))]
+    return swept, [float(np.max(np.abs(np.subtract(u, old, out=scratch), out=scratch)))
+                   for u, old in zip(new, (phi, psi))]
 
 
 def initial_state(grid: Grid, consts: MatchingConstants) -> PicardState:
@@ -234,7 +256,8 @@ def _endpoint_map(params: SystemParams, grid: Grid, order: int, v,
         dirs = [(a * d, b * d) for a, b in units]  # iterate 0 of (dphi, dpsi)
     for _ in range(order):
         if tangent:
-            dirs = [_lift(d, h, df(st.fields, du), unit) for du, unit in zip(dirs, units)]
+            dirs = [_lift(d, h, df(st.fields, du), unit, _empty(d, 2), np.empty_like(d))
+                    for du, unit in zip(dirs, units)]
         st = picard_step(params, grid, st)
     fv = np.array([st.fields.phi[-1], st.fields.psi[-1]])
     jac = np.array([[dirs[0][0][-1], dirs[1][0][-1]],
@@ -359,10 +382,15 @@ def green_kernel_iterate(
     NotConvergedError if cfg.max_iter applications do not get there.
     """
     d = _anchored(grid)
+    # The sweep's two work buffers and two field pairs, written in turn (never
+    # `start`): every sweep runs in these six arrays. Work first, as in `_sweep`.
+    work = _empty(start.phi, 2)
+    pairs = (_empty(start.phi, 2), _empty(start.phi, 2))
     fields = start
     trace: list[float] = []
     for k in range(cfg.max_iter):
-        fields, (dphi, dpsi) = _sweep(params, d, grid.h, fields, (None, None), k + 1)
+        fields, (dphi, dpsi) = _sweep(params, d, grid.h, fields, (None, None), k + 1,
+                                      pairs[k % 2], work)
         trace.append(dphi + dpsi)
         if trace[-1] < cfg.tol:
             return fields, trace

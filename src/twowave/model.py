@@ -139,14 +139,26 @@ class Bounds:
             raise ConfigurationError("bounds must be nonnegative")
 
 
-def eval_f1(params: SystemParams, phi, psi):
-    """Right-hand side of the fundamental wave: (phi - phi*psi) / r."""
-    return (phi - phi * psi) / params.r
+# The ufunc calls nest so that, with no buffers given, each fresh temporary is
+# freed as soon as it is read, as in the operator expression they replace.
+def eval_f1(params: SystemParams, phi, psi, out=None):
+    """Right-hand side of the fundamental wave: (phi - phi*psi) / r.
+
+    Written into ``out`` when given (it may not share memory with phi or psi).
+    """
+    return np.divide(np.subtract(phi, np.multiply(phi, psi, out=out), out=out), params.r, out=out)
 
 
-def eval_f2(params: SystemParams, phi, psi):
-    """Right-hand side of the second harmonic: (alpha*psi - phi^2/2) / s."""
-    return (params.alpha * psi - 0.5 * phi * phi) / params.s
+def eval_f2(params: SystemParams, phi, psi, out=None, scratch=None):
+    """Right-hand side of the second harmonic: (alpha*psi - phi^2/2) / s.
+
+    Written into ``out`` when given, with ``scratch`` holding phi^2/2; neither
+    may share memory with phi or psi.
+    """
+    return np.divide(
+        np.subtract(np.multiply(psi, params.alpha, out=out),
+                    np.multiply(np.multiply(phi, 0.5, out=scratch), phi, out=scratch), out=out),
+        params.s, out=out)
 
 
 def residual(params: SystemParams, grid: Grid, fields: FieldPair):

@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from twowave import fixedpoint
+from twowave import fixedpoint, quadrature
 from twowave import (
     ConvergenceBound,
     Domain,
@@ -389,7 +390,7 @@ class TestSolvePicard:
         monkeypatch.setattr(fixedpoint, "picard_step",
                             lambda p, g, s: steps.update([g.n]) or step(p, g, s))
         monkeypatch.setattr(fixedpoint, "_volterra",
-                            lambda f, h: volterra.update([len(f)]) or vol(f, h))
+                            lambda f, *a: volterra.update([len(f)]) or vol(f, *a))
         st = solve_picard(P1, unit_grid(20001), CFG, 3)
         assert steps[fixedpoint.COARSE_N] == 6 * 3
         assert steps[20001] <= 2 * 3 and set(steps) == {fixedpoint.COARSE_N, 20001}
@@ -501,3 +502,70 @@ class TestGreenKernelIteration:
         with pytest.raises(DivergenceError) as err:
             green_kernel_iterate(P1, unit_grid(101), huge, CFG)
         assert err.value.iteration == 1
+
+    @pytest.mark.filterwarnings("error")
+    def test_divergence_after_a_finite_sweep(self):
+        # sweep 1 maps 1e150 to about 1e299, whose square overflows in sweep 2
+        # while the buffers still hold sweep 1's fields
+        big = FieldPair(np.full(101, 1e150), np.full(101, -1e150))
+        with pytest.raises(DivergenceError) as err:
+            green_kernel_iterate(P1, unit_grid(101), big, CFG)
+        assert err.value.iteration == 2
+
+    @staticmethod
+    def _random_start(n, seed):
+        rng = np.random.default_rng(seed)
+        return FieldPair(rng.uniform(-1, 1, n), rng.uniform(-1, 1, n))
+
+    def test_start_is_left_alone(self):
+        start = self._random_start(2001, 8)
+        before = (start.phi.copy(), start.psi.copy())
+        final, trace = green_kernel_iterate(P1, unit_grid(2001), start, IterConfig(60, 1e-13))
+        assert np.array_equal(start.phi, before[0]) and np.array_equal(start.psi, before[1])
+        for u in (final.phi, final.psi):
+            assert not np.shares_memory(u, start.phi) and not np.shares_memory(u, start.psi)
+        again = green_kernel_iterate(P1, unit_grid(2001), start, IterConfig(60, 1e-13))
+        assert again[1] == trace
+        assert np.array_equal(again[0].phi, final.phi) and np.array_equal(again[0].psi, final.psi)
+
+    @pytest.mark.parametrize("n", [2001, 2000])
+    def test_matches_a_plain_allocating_loop(self, n):
+        # u <- V(f(u)) - (d/L) V(f(u))(l2), with V = C(C(.)) and fresh arrays
+        # every sweep; the slope -V(f)(l2)/L multiplies d as in the solver
+        p, L = SystemParams(2.0, 0.5, 0.5), 1.5
+        g = Grid.uniform(Domain(0.0, L), n)
+        start = self._random_start(n, n)
+        cfg = IterConfig(60, 1e-13)
+        d = np.linspace(0.0, L, n)
+        phi, psi, want = start.phi, start.psi, []
+        while not want or want[-1] >= cfg.tol:
+            new = []
+            for f in ((phi - phi * psi) / p.r, (p.alpha * psi - 0.5 * phi * phi) / p.s):
+                v = quadrature.cumulative(quadrature.cumulative(f, g.h), g.h)
+                new.append(v + (-v[-1] / d[-1]) * d)
+            want.append(float(np.max(np.abs(new[0] - phi))) + float(np.max(np.abs(new[1] - psi))))
+            phi, psi = new
+        final, trace = green_kernel_iterate(p, g, start, cfg)
+        assert trace == want
+        assert np.array_equal(final.phi, phi) and np.array_equal(final.psi, psi)
+
+    def test_sweeps_allocate_no_arrays(self):
+        # every sweep runs in six arrays allocated once per call (two field
+        # pairs, the integrand and the scratch): the traced peak does not grow
+        # from 5 to 30 sweeps and stays below those six, d, and the n-byte
+        # masks of the finite check (allocating sweeps peaked at 9 arrays)
+        n = 20001
+        g, start = unit_grid(n), self._random_start(n, 4)
+        peaks = []
+        for sweeps in (5, 30):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                with pytest.raises(NotConvergedError):
+                    green_kernel_iterate(P1, g, start, IterConfig(sweeps, 1e-300))
+                peaks.append((tracemalloc.get_traced_memory()[1] - base) / start.phi.nbytes)
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 0.05
+        assert max(peaks) < 6 + 1 + 0.25

@@ -98,6 +98,32 @@ class TestRightHandSides:
         assert eval_f2(p, 0.0, psi) == pytest.approx(alpha * psi / s, rel=1e-12, abs=1e-9)
 
 
+    @pytest.mark.parametrize("params", [SystemParams(), SystemParams(-3.7, 1e-300, 1e300),
+                                        SystemParams(1e-300, -7.0, 0.3)])
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    def test_buffered_form_is_bit_identical(self, params, dtype):
+        # out= (and eval_f2's scratch=) keep the allocating form's operations
+        # and their order, so both equal the formula bit for bit, on random
+        # samples and on ones that overflow, underflow, cancel or are not finite
+        rng = np.random.default_rng(7)
+        phi, psi = (np.concatenate([rng.normal(size=200) * 10.0 ** rng.integers(-170, 170, 200),
+                                    [0.0, -0.0, 1e155, -1e155, 1e-320, np.inf, -np.inf, np.nan]])
+                    .astype(dtype) for _ in range(2))
+        psi[-8:] = psi[-8:][::-1]  # pair each special value with another one
+        with np.errstate(all="ignore"):
+            want = ((phi - phi * psi) / params.r,
+                    (params.alpha * psi - 0.5 * phi * phi) / params.s)
+            out = [np.full_like(phi, np.nan) for _ in range(3)]
+            got = (eval_f1(params, phi, psi), eval_f2(params, phi, psi),
+                   eval_f1(params, phi, psi, out=out[0]),
+                   eval_f2(params, phi, psi, out=out[1], scratch=out[2]))
+        assert got[2] is out[0] and got[3] is out[1]
+        for w, g in zip(want + want, got):
+            assert g.dtype == dtype
+            assert np.array_equal(g, w, equal_nan=True)
+            assert np.array_equal(np.signbit(g), np.signbit(w))
+
+
 class TestResidual:
     def test_trivial_pair_zero(self):
         p = SystemParams(r=-1.5, s=2.0, alpha=0.7)

@@ -69,14 +69,20 @@ def _fancy_index_cumulative_simpson(y, h):
     return out
 
 
-@pytest.mark.parametrize("n", list(range(2, 10)) + [2001])
+@pytest.mark.parametrize("n", list(range(2, 10)) + [2000, 2001])
 @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
 def test_cumulative_simpson_matches_fancy_index_reference(n, dtype):
     y = np.random.default_rng(n).normal(size=n).astype(dtype)
     h = dtype(0.37)
+    ref = _fancy_index_cumulative_simpson(y, h)
     got = quadrature.cumulative(y, h)
     assert got.dtype == dtype
-    assert np.array_equal(got, _fancy_index_cumulative_simpson(y, h))
+    assert np.array_equal(got, ref)
+    # written in place into a caller's buffer: NaN-filled, so every slot
+    # must be written, and handed back as the result
+    buf = np.full(n, np.nan, dtype=dtype)
+    assert quadrature.cumulative(y, h, out=buf) is buf
+    assert np.array_equal(buf, ref)
 
 
 def test_preserves_longdouble():
