@@ -164,11 +164,17 @@ def dirichlet_endpoints(u: np.ndarray) -> bool:
     return bool(max(abs(u[0]), abs(u[-1])) <= 1e-8)
 
 
+def _square_integrals(grid: Grid, u: np.ndarray) -> tuple[float, float]:
+    """(int u^2, int u'^2) of samples u on grid, u' by second-order differences."""
+    grid.check_samples(u)
+    du = np.gradient(u, grid.h, edge_order=2)
+    return quadrature.integrate(u * u, grid.h), quadrature.integrate(du * du, grid.h)
+
+
 def sobolev_h1_norm(grid: Grid, u: np.ndarray) -> float:
     """H1 norm sqrt(int u^2 + int u'^2) for u vanishing at both endpoints."""
     u = np.asarray(u, dtype=float)
-    if u.shape != (grid.n,):
-        raise ConfigurationError("u must be sampled on the grid")
+    u2, du2 = _square_integrals(grid, u)
     if not dirichlet_endpoints(u):
         warnings.warn(
             "H1 norm assumes homogeneous Dirichlet data; endpoint values "
@@ -176,8 +182,7 @@ def sobolev_h1_norm(grid: Grid, u: np.ndarray) -> float:
             DirichletWarning,
             stacklevel=2,
         )
-    du = np.gradient(u, grid.h, edge_order=2)
-    return math.sqrt(quadrature.integrate(u * u, grid.h) + quadrature.integrate(du * du, grid.h))
+    return math.sqrt(u2 + du2)
 
 
 class CoefficientWarning(UserWarning):
@@ -193,12 +198,9 @@ def _warn_if_not_unit_coefficients(params: SystemParams, what: str) -> None:
 def energy_identity_residual(params: SystemParams, grid: Grid, fields: FieldPair) -> float:
     """Relative defect of int phi^2 + int phi'^2 = 2 alpha int psi^2 + 2 int psi'^2."""
     _warn_if_not_unit_coefficients(params, "the energy identity")
-    h = grid.h
-    dphi = np.gradient(fields.phi, h, edge_order=2)
-    dpsi = np.gradient(fields.psi, h, edge_order=2)
-    lhs = quadrature.integrate(fields.phi**2, h) + quadrature.integrate(dphi**2, h)
-    rhs = (2.0 * params.alpha * quadrature.integrate(fields.psi**2, h)
-           + 2.0 * quadrature.integrate(dpsi**2, h))
+    lhs = sum(_square_integrals(grid, fields.phi))
+    psi2, dpsi2 = _square_integrals(grid, fields.psi)
+    rhs = 2.0 * params.alpha * psi2 + 2.0 * dpsi2
     return abs(lhs - rhs) / max(lhs, rhs, _TINY)
 
 

@@ -91,9 +91,6 @@ class RunConfig:
     def grid(self) -> model.Grid:
         return model.Grid.uniform(self.domain(), self.n)
 
-    def iter_config(self) -> fixedpoint.IterConfig:
-        return fixedpoint.IterConfig(self.max_iter, self.tol)
-
 
 _SETTINGS = dataclasses.fields(RunConfig)
 
@@ -101,12 +98,7 @@ _SETTINGS = dataclasses.fields(RunConfig)
 def build_config(args: argparse.Namespace) -> RunConfig:
     values = {}
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            try:
-                text = fh.read()
-            except UnicodeDecodeError as exc:
-                raise ConfigurationError(f"config document is not UTF-8 text: {exc}") from None
-        values = json.loads(text)
+        values = json.loads(_read_text(args.config, "config document", ConfigurationError))
         if not isinstance(values, dict):
             raise ConfigurationError("config document must be a JSON object")
         unknown = values.keys() - {f.name for f in _SETTINGS
@@ -133,6 +125,15 @@ def write_profile(path, x, phi, psi, fmt: str = "csv") -> None:
     else:
         text = json.dumps({"x": x.tolist(), "phi": phi.tolist(), "psi": psi.tolist()}) + "\n"
     _write_text(path, text)
+
+
+def _read_text(path, what: str, error: type) -> str:
+    """The UTF-8 text of a file; other bytes raise ``error`` naming it as ``what``."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise error(f"{what} is not UTF-8 text: {exc}") from None
 
 
 def _write_text(path, text: str) -> None:
@@ -167,8 +168,10 @@ def cmd_sample(cfg: RunConfig, args: argparse.Namespace) -> int:
 def cmd_solve(cfg: RunConfig, args: argparse.Namespace) -> int:
     params = cfg.params()
     grid = cfg.grid()
-    icfg = cfg.iter_config()
+    icfg = fixedpoint.IterConfig(cfg.max_iter, cfg.tol)
     if cfg.method == "green":
+        if cfg.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {cfg.seed}")
         rng = np.random.default_rng(cfg.seed)
         start = model.FieldPair(rng.uniform(-1.0, 1.0, grid.n), rng.uniform(-1.0, 1.0, grid.n))
         fields, trace = fixedpoint.green_kernel_iterate(params, grid, start, icfg)
@@ -208,11 +211,7 @@ def cmd_certify(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def read_profile(path: str):
     """Parse an (x, phi, psi) profile file; returns three float arrays."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise ProfileParseError(f"profile is not UTF-8 text: {exc}") from None
+    text = _read_text(path, "profile", ProfileParseError)
     if text.lstrip().startswith("{"):
         try:
             doc = json.loads(text)

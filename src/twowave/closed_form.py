@@ -121,20 +121,18 @@ def dark_series(x, p: SeriesParams):
     return phi, psi
 
 
-KINDS = ("exact", "bright", "dark")
+# Each kind's parameter type and profile function.
+_FORMS = {"exact": (ExactSolutionParams, exact_alpha1),
+          "bright": (SeriesParams, bright_series),
+          "dark": (SeriesParams, dark_series)}
+KINDS = tuple(_FORMS)
 
 
 def sample_closed_form(kind: str, grid: Grid, params) -> FieldPair:
     """Evaluate the chosen closed form on all grid nodes."""
-    if kind == "exact":
-        if not isinstance(params, ExactSolutionParams):
-            raise ConfigurationError("kind 'exact' needs ExactSolutionParams")
-        phi, psi = exact_alpha1(grid.nodes, params)
-    elif kind in ("bright", "dark"):
-        if not isinstance(params, SeriesParams):
-            raise ConfigurationError(f"kind {kind!r} needs SeriesParams")
-        fn = bright_series if kind == "bright" else dark_series
-        phi, psi = fn(grid.nodes, params)
-    else:
+    if kind not in _FORMS:
         raise ConfigurationError(f"unknown closed form {kind!r}; expected one of {KINDS}")
-    return FieldPair(phi, psi)
+    kind_params, fn = _FORMS[kind]
+    if not isinstance(params, kind_params):
+        raise ConfigurationError(f"kind {kind!r} needs {kind_params.__name__}")
+    return FieldPair(*fn(grid.nodes, params))

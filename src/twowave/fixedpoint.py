@@ -41,10 +41,9 @@ from .model import Domain, FieldPair, Grid, SystemParams, _require_finite, eval_
 # Newton matching succeeds once |phi(l2)| + |psi(l2)| <= NEWTON_TOL.
 NEWTON_MAX_ITER = 50
 NEWTON_TOL = 1e-11
-# Orders >= 2 on grids of more than SEQUENCE_ABOVE nodes are matched on
+# Orders >= 2 on grids of more than 2 * COARSE_N - 1 nodes are matched on
 # COARSE_N nodes first and finished on the fine grid.
 COARSE_N = 2001
-SEQUENCE_ABOVE = 4001
 
 
 @dataclass(frozen=True)
@@ -122,21 +121,17 @@ def _lift(d, h: float, integrands, slopes, out, scratch) -> list[np.ndarray]:
 
 
 def _sweep(params: SystemParams, d, h: float, fields: FieldPair, slopes: tuple,
-           step: int, out=None, work=None) -> tuple[FieldPair, list[float]]:
+           step: int, work, out) -> tuple[FieldPair, list[float]]:
     """Apply u <- slope*d + V(f(u)) to both fields once: the `_lift` of f(u).
 
     ``slopes`` holds the left-end slopes of (phi, psi), None as in `_lift`.
-    The new fields go into the pair ``out``, and ``work`` holds two buffers,
-    the integrand f(u) and the scratch; all are like the fields and share no
-    memory with them, and fresh ones are made for None. Returns the new
-    fields and the sup norms of the two updates; non-finite values raise
-    DivergenceError(step).
+    ``work`` holds two buffers, the integrand f(u) and the scratch, and the
+    new fields go into the pair ``out``; all are like the fields and share no
+    memory with them. Returns the new fields and the sup norms of the two
+    updates; non-finite values raise DivergenceError(step).
     """
     phi, psi = fields.phi, fields.psi
-    # Work buffers before the fields that outlive them: freed below those,
-    # their memory is reused instead of trimmed from the heap top and faulted in again.
-    g, scratch = _empty(phi, 2) if work is None else work
-    out = _empty(phi, 2) if out is None else out
+    g, scratch = work
 
     def integrands():  # f(u) into g, read inside the lift
         yield eval_f1(params, phi, psi, out=g)
@@ -163,9 +158,12 @@ def initial_state(grid: Grid, consts: MatchingConstants) -> PicardState:
 
 def picard_step(params: SystemParams, grid: Grid, state: PicardState) -> PicardState:
     """Advance the Picard recursion by one iterate, with the state's slopes held fixed."""
-    c = state.constants
+    c, like = state.constants, state.fields.phi
+    grid.check_samples(like)
+    # Work buffers (the first pair) before the fields that outlive them: freed below
+    # those, their memory is reused instead of trimmed from the heap top and faulted in again.
     fields, norms = _sweep(params, _anchored(grid), grid.h, state.fields, (c.beta, c.gamma),
-                           state.n + 1)
+                           state.n + 1, _empty(like, 2), _empty(like, 2))
     return PicardState(
         n=state.n + 1,
         fields=fields,
@@ -346,7 +344,7 @@ def solve_picard(
     * If the line search fails on a Broyden Jacobian, the exact Jacobian is
       recomputed once at the current slopes and the search retried; it
       fails with MatchingFailureError only on an exact Jacobian.
-    * Orders >= 2 on a grid of more than SEQUENCE_ABOVE nodes are matched
+    * Orders >= 2 on a grid of more than 2 * COARSE_N - 1 nodes are matched
       first on COARSE_N nodes of the same domain, where the root differs
       from the fine one only at Simpson's O(h^4) level. The same iteration
       then finishes on ``grid`` from the coarse slopes, with one plain
@@ -364,7 +362,7 @@ def solve_picard(
     else:
         start = match_constants_order1(params, domain=grid.domain, beta_sign=beta_sign)
     v, jac = np.array([start.beta, start.gamma]), None
-    if order > 1 and grid.n > SEQUENCE_ABOVE:
+    if order > 1 and grid.n > 2 * COARSE_N - 1:
         coarse = Grid.uniform(grid.domain, COARSE_N, dtype=grid.nodes.dtype)
         state, jac = _newton(params, coarse, order, v)
         v = np.array([state.constants.beta, state.constants.gamma])
@@ -381,16 +379,17 @@ def green_kernel_iterate(
     certificate bounds) once the difference drops below cfg.tol. Raises
     NotConvergedError if cfg.max_iter applications do not get there.
     """
+    grid.check_samples(start.phi)
     d = _anchored(grid)
     # The sweep's two work buffers and two field pairs, written in turn (never
-    # `start`): every sweep runs in these six arrays. Work first, as in `_sweep`.
+    # `start`): every sweep runs in these six arrays. Work first, as in `picard_step`.
     work = _empty(start.phi, 2)
     pairs = (_empty(start.phi, 2), _empty(start.phi, 2))
     fields = start
     trace: list[float] = []
     for k in range(cfg.max_iter):
         fields, (dphi, dpsi) = _sweep(params, d, grid.h, fields, (None, None), k + 1,
-                                      pairs[k % 2], work)
+                                      work, pairs[k % 2])
         trace.append(dphi + dpsi)
         if trace[-1] < cfg.tol:
             return fields, trace

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
+from .quadrature import _as_float_array
 
 
 def _require_finite(value, *names: str) -> None:
@@ -75,12 +76,7 @@ class Grid:
     """Uniform sampling of a Domain with n >= 3 nodes; build it with `uniform`."""
 
     domain: Domain
-    n: int
     nodes: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        if len(self.nodes) != self.n:
-            raise ConfigurationError("node array length disagrees with n")
 
     @classmethod
     def uniform(cls, domain: Domain, n: int, dtype=float) -> "Grid":
@@ -91,11 +87,20 @@ class Grid:
             nodes = np.linspace(domain.l1, domain.l2, n, dtype=dtype)
         except (ValueError, MemoryError) as exc:
             raise ConfigurationError(f"too many grid nodes: {exc}") from None
-        return cls(domain, n, nodes)
+        return cls(domain, nodes)
+
+    @property
+    def n(self) -> int:
+        return len(self.nodes)
 
     @property
     def h(self) -> float:
         return (self.domain.l2 - self.domain.l1) / (self.n - 1)
+
+    def check_samples(self, u) -> None:
+        """Raise ConfigurationError unless u holds one sample per node."""
+        if np.shape(u) != (self.n,):
+            raise ConfigurationError(f"samples of shape {np.shape(u)} do not fit {self.n} nodes")
 
 
 @dataclass(frozen=True)
@@ -108,12 +113,8 @@ class FieldPair:
     def __post_init__(self):
         # Preserve wider float dtypes (longdouble grids are used for
         # convergence studies whose bounds dip below float64 roundoff).
-        phi = np.asarray(self.phi)
-        psi = np.asarray(self.psi)
-        if phi.dtype.kind != "f":
-            phi = phi.astype(float)
-        if psi.dtype.kind != "f":
-            psi = psi.astype(float)
+        phi = _as_float_array(self.phi)
+        psi = _as_float_array(self.psi)
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "psi", psi)
         if phi.shape != psi.shape or phi.ndim != 1:
@@ -139,8 +140,8 @@ class Bounds:
             raise ConfigurationError("bounds must be nonnegative")
 
 
-# The ufunc calls nest so that, with no buffers given, each fresh temporary is
-# freed as soon as it is read, as in the operator expression they replace.
+# With no buffers given, each fresh temporary is freed as soon as it is read
+# (eval_f1's nested calls) or reused in place (eval_f2), so at most two are live.
 def eval_f1(params: SystemParams, phi, psi, out=None):
     """Right-hand side of the fundamental wave: (phi - phi*psi) / r.
 
@@ -155,10 +156,12 @@ def eval_f2(params: SystemParams, phi, psi, out=None, scratch=None):
     Written into ``out`` when given, with ``scratch`` holding phi^2/2; neither
     may share memory with phi or psi.
     """
-    return np.divide(
-        np.subtract(np.multiply(psi, params.alpha, out=out),
-                    np.multiply(np.multiply(phi, 0.5, out=scratch), phi, out=scratch), out=out),
-        params.s, out=out)
+    half_sq = np.multiply(phi, 0.5, out=scratch)
+    half_sq *= phi  # in place on arrays; a scalar is rebound
+    f2 = np.multiply(psi, params.alpha, out=out)
+    f2 -= half_sq
+    f2 /= params.s
+    return f2
 
 
 def residual(params: SystemParams, grid: Grid, fields: FieldPair):
@@ -168,10 +171,7 @@ def residual(params: SystemParams, grid: Grid, fields: FieldPair):
     1 <= k <= n-2 and zeros at the two endpoints (boundary conditions are
     checked separately, not mixed into the interior residual).
     """
-    if len(fields.phi) != grid.n:
-        raise ConfigurationError(
-            f"fields have {len(fields.phi)} entries but grid has {grid.n} nodes"
-        )
+    grid.check_samples(fields.phi)
     h2 = grid.h * grid.h
     phi, psi = fields.phi, fields.psi
     r1 = np.zeros(grid.n)

@@ -4,6 +4,10 @@ import dataclasses
 import inspect
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import textwrap
 
 import numpy as np
@@ -129,6 +133,15 @@ class TestSolveCommand:
                        "--max-iter", 2000, "--out", out) == 0
         meta = json.loads((tmp_path / "g.csv.meta.json").read_text())
         assert 50 < meta["iterations"] < 2000 and meta["final_diff"] < 1e-12
+
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, how):
+        cfgfile, out = tmp_path / "cfg.json", tmp_path / "g.csv"
+        cfgfile.write_text('{"seed": -1}')
+        seed = ["--seed", -1] if how == "flag" else ["--config", cfgfile]
+        assert run_cli("solve", "--method", "green", *seed, "--n", 11, "--out", out) == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not out.exists()
 
     def test_matching_failure_exits_3(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(fixedpoint, "NEWTON_TOL", 0.0)
@@ -566,3 +579,17 @@ class TestSettingsPerCommand:
             cfgfile.write_text(json.dumps({name: getattr(defaults, name)}))
             assert run_cli(*argv) == 2
             assert capsys.readouterr().err == f"error: unknown config keys: ['{name}']\n"
+
+
+@pytest.mark.parametrize("argv, code, stream, text", [
+    (["--help"], 0, "stdout", "usage: twowave"),
+    (["solve", "--method", "green", "--seed", "-1"], 2, "stderr", "error: seed must be >= 0"),
+], ids=["help", "negative-seed"])
+def test_python_dash_m_runs_the_cli(argv, code, stream, text):
+    env = dict(os.environ)
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "twowave", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == code, done.stderr
+    assert getattr(done, stream).startswith(text)

@@ -84,6 +84,15 @@ class TestFirstIterate:
         phi, _ = first_iterate(P1, UNIT, MatchingConstants(0.0, gamma), x)
         assert phi == 0.0
 
+    def test_array_input_gives_arrays_of_the_pointwise_values(self):
+        x = np.linspace(0.0, 1.0, 7)
+        consts = MatchingConstants(1.5, -0.5)
+        phi, psi = first_iterate(SystemParams(2.0, 0.5, 3.0), UNIT, consts, x)
+        assert isinstance(phi, np.ndarray) and phi.shape == psi.shape == x.shape
+        for k, t in enumerate(x):
+            want = first_iterate(SystemParams(2.0, 0.5, 3.0), UNIT, consts, float(t))
+            assert (phi[k], psi[k]) == pytest.approx(want, rel=1e-15, abs=1e-300)
+
 
 class TestMatchingConstantsOrder1:
     def test_unit_case_closed_form(self):
@@ -204,6 +213,11 @@ class TestConvergenceBound:
         assert convergence_bound(cb, 1.0, 0) == pytest.approx((0.5, 0.5))
         b10 = convergence_bound(cb, 1.0, 10)
         assert b10[0] == pytest.approx(1.0 / math.factorial(12), rel=1e-12)
+
+    @pytest.mark.parametrize("L", [0.0, -1.0, math.nan])
+    def test_nonpositive_length_rejected(self, L):
+        with pytest.raises(ConfigurationError, match="L must be positive"):
+            convergence_bound(ConvergenceBound(1.0, 1.0), L, 3)
 
     def test_from_bounds(self):
         cb = ConvergenceBound.from_bounds(SystemParams(2.0, -4.0, 3.0), 2.0, 1.0)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
@@ -8,11 +10,19 @@ from twowave import (
     ExactSolutionParams,
     FieldPair,
     Grid,
+    IterConfig,
+    MatchingConstants,
+    PicardState,
     SystemParams,
+    energy_identity_residual,
     eval_f1,
     eval_f2,
+    green_kernel_iterate,
+    norm_ordering,
+    picard_step,
     residual,
     sample_closed_form,
+    sobolev_h1_norm,
     sup_norms,
 )
 from twowave.errors import ConfigurationError
@@ -47,6 +57,7 @@ class TestParams:
         g = Grid.uniform(Domain(-3.0, 7.0), 11)
         assert g.nodes[0] == -3.0 and g.nodes[-1] == 7.0
         assert g.h == pytest.approx(1.0)
+        assert g.n == len(g.nodes) == 11
 
     def test_fieldpair_shape_and_finiteness(self):
         with pytest.raises(ConfigurationError):
@@ -122,6 +133,56 @@ class TestRightHandSides:
             assert g.dtype == dtype
             assert np.array_equal(g, w, equal_nan=True)
             assert np.array_equal(np.signbit(g), np.signbit(w))
+
+
+class TestAllocatingRightHandSides:
+    def test_f2_equals_the_nested_expression(self):
+        # the in-place allocating form keeps the nested expression's operations
+        # and their order: (alpha*psi - (phi*0.5)*phi) / s, bit for bit
+        rng = np.random.default_rng(12)
+        params = SystemParams(0.7, -1.3, 2.9)
+        phi, psi = rng.normal(size=(2, 1001)) * 10.0 ** rng.integers(-160, 160, (2, 1001))
+        with np.errstate(all="ignore"):
+            want = np.divide(np.subtract(np.multiply(psi, params.alpha),
+                                         np.multiply(np.multiply(phi, 0.5), phi)), params.s)
+            got = eval_f2(params, phi, psi)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("f", [eval_f1, eval_f2], ids=["f1", "f2"])
+    def test_at_most_two_arrays_live(self, f):
+        # the result and one temporary; eval_f2 used to hold three at once
+        n = 20001
+        phi, psi = np.random.default_rng(3).uniform(-1.0, 1.0, (2, n))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            f(SystemParams(), phi, psi)
+            peak = (tracemalloc.get_traced_memory()[1] - base) / phi.nbytes
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.25
+
+
+# Each entry point that takes fields with a grid, called on fields one node short.
+SHORT_FIELD_CALLS = {
+    "residual": lambda g, f: residual(SystemParams(), g, f),
+    "energy_identity_residual": lambda g, f: energy_identity_residual(SystemParams(), g, f),
+    "sobolev_h1_norm": lambda g, f: sobolev_h1_norm(g, f.phi),
+    "norm_ordering": lambda g, f: norm_ordering(SystemParams(), g, f),
+    "picard_step": lambda g, f: picard_step(SystemParams(), g,
+                                            PicardState(0, f, MatchingConstants(1.0, 1.0))),
+    "green_kernel_iterate": lambda g, f: green_kernel_iterate(SystemParams(), g, f,
+                                                              IterConfig()),
+}
+
+
+@pytest.mark.parametrize("call", SHORT_FIELD_CALLS.values(), ids=SHORT_FIELD_CALLS)
+def test_fields_off_the_grid_rejected_with_one_message(call):
+    with pytest.raises(ConfigurationError) as err:
+        call(Grid.uniform(Domain(0.0, 1.0), 11), FieldPair.zeros(10))
+    assert str(err.value) == "samples of shape (10,) do not fit 11 nodes"
 
 
 class TestResidual:
