@@ -7,8 +7,9 @@ running integral C = `quadrature.cumulative` taken twice; it sees no coordinate:
 
     V(f)(x) = int_{l1}^{x} (x - t) f(t) dt = int_{l1}^{x} int_{l1}^{t} f = C(C(f)).
 
-One lift, `_lift`, computes slope*d + V(g): the sweep lifts f(u), and the
-Newton tangent pass lifts the linearised integrands df(u) du.
+One lift, `_lift`, computes slope*d + V(g) for one integrand g. The sweep lifts
+f1(u) and f2(u), and the Newton tangent pass the linearised integrands df(u) du,
+each under one errstate: overflow shows as non-finite values, not warnings.
 
 * Picard successive approximation on the Volterra form u = slope*d + V(f(u)),
   the textbook double integral, with the unknown left-end slopes
@@ -103,26 +104,20 @@ def _empty(like: np.ndarray, k: int) -> list[np.ndarray]:
     return [np.empty_like(like) for _ in range(k)]
 
 
-def _lift(d, h: float, integrands, slopes, out, scratch) -> list[np.ndarray]:
-    """slope*d + V(g) into out[i] for each integrand g and slope; a slope of None is -V(g)(l2)/L.
+def _lift(d, h: float, g, slope, out, scratch) -> np.ndarray:
+    """slope*d + V(g) into ``out``; a slope of None is the Green slope -V(g)(l2)/L.
 
-    ``scratch``, like ``out``'s arrays, holds each first running integral and
-    then slope*d. A generator of integrands is read inside the lift's
-    errstate, so overflow in a blowing-up iterate surfaces as non-finite
-    values for the caller to check.
+    ``scratch`` holds the first running integral and then slope*d.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        for g, slope, v in zip(integrands, slopes, out):
-            _volterra(g, h, scratch, v)
-            if slope is None:
-                slope = -v[-1] / d[-1]
-            np.add(v, np.multiply(d, slope, out=scratch), out=v)
-    return out
+    _volterra(g, h, scratch, out)
+    if slope is None:
+        slope = -out[-1] / d[-1]
+    return np.add(out, np.multiply(d, slope, out=scratch), out=out)
 
 
 def _sweep(params: SystemParams, d, h: float, fields: FieldPair, slopes: tuple,
            step: int, work, out) -> tuple[FieldPair, list[float]]:
-    """Apply u <- slope*d + V(f(u)) to both fields once: the `_lift` of f(u).
+    """Apply u <- slope*d + V(f(u)) to both fields once: one `_lift` of each f(u).
 
     ``slopes`` holds the left-end slopes of (phi, psi), None as in `_lift`.
     ``work`` holds two buffers, the integrand f(u) and the scratch, and the
@@ -132,18 +127,15 @@ def _sweep(params: SystemParams, d, h: float, fields: FieldPair, slopes: tuple,
     """
     phi, psi = fields.phi, fields.psi
     g, scratch = work
-
-    def integrands():  # f(u) into g, read inside the lift
-        yield eval_f1(params, phi, psi, out=g)
-        yield eval_f2(params, phi, psi, out=g, scratch=scratch)
-
-    new = _lift(d, h, integrands(), slopes, out, scratch)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _lift(d, h, eval_f1(params, phi, psi, out=g), slopes[0], out[0], scratch)
+        _lift(d, h, eval_f2(params, phi, psi, out=g, scratch=scratch), slopes[1], out[1], scratch)
     try:
-        swept = FieldPair(*new)  # the one finite check of the sweep
+        swept = FieldPair(*out)  # the one finite check of the sweep
     except ConfigurationError:
         raise DivergenceError(step) from None
     return swept, [float(np.max(np.abs(np.subtract(u, old, out=scratch), out=scratch)))
-                   for u, old in zip(new, (phi, psi))]
+                   for u, old in zip(out, (phi, psi))]
 
 
 def initial_state(grid: Grid, consts: MatchingConstants) -> PicardState:
@@ -243,19 +235,18 @@ def _endpoint_map(params: SystemParams, grid: Grid, order: int, v,
     and df2 = (alpha dpsi - phi dphi)/s. That is two more `_volterra` calls
     per field: a tangent pass costs three forward solves.
     """
-    def df(u, du):  # the linearised integrands, read inside the lift
-        yield ((1.0 - u.psi) * du[0] - u.phi * du[1]) / params.r
-        yield (params.alpha * du[1] - u.phi * du[0]) / params.s
-
     st = initial_state(grid, MatchingConstants(v[0], v[1]))
     if tangent:
-        d, h = _anchored(grid), grid.h
+        d, h, r, s, alpha = _anchored(grid), grid.h, params.r, params.s, params.alpha
         units = ((1.0, 0.0), (0.0, 1.0))
         dirs = [(a * d, b * d) for a, b in units]  # iterate 0 of (dphi, dpsi)
     for _ in range(order):
         if tangent:
-            dirs = [_lift(d, h, df(st.fields, du), unit, _empty(d, 2), np.empty_like(d))
-                    for du, unit in zip(dirs, units)]
+            phi, psi, tmp = st.fields.phi, st.fields.psi, np.empty_like(d)  # one shared scratch
+            with np.errstate(over="ignore", invalid="ignore"):
+                dirs = [(_lift(d, h, ((1.0 - psi) * a - phi * b) / r, da, np.empty_like(d), tmp),
+                         _lift(d, h, (alpha * b - phi * a) / s, db, np.empty_like(d), tmp))
+                        for (a, b), (da, db) in zip(dirs, units)]
         st = picard_step(params, grid, st)
     fv = np.array([st.fields.phi[-1], st.fields.psi[-1]])
     jac = np.array([[dirs[0][0][-1], dirs[1][0][-1]],

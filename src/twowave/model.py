@@ -167,22 +167,21 @@ def eval_f2(params: SystemParams, phi, psi, out=None, scratch=None):
 def residual(params: SystemParams, grid: Grid, fields: FieldPair):
     """Central finite-difference residuals of both equations at interior nodes.
 
-    Returns (R1, R2) with R_i[k] = D2 u[k] - f_i(phi[k], psi[k]) for
-    1 <= k <= n-2 and zeros at the two endpoints (boundary conditions are
+    Returns (R1, R2), like phi and psi, with R_i[k] = D2 u[k] - f_i(phi[k], psi[k])
+    for 1 <= k <= n-2 and zeros at the two endpoints (boundary conditions are
     checked separately, not mixed into the interior residual).
     """
     grid.check_samples(fields.phi)
     h2 = grid.h * grid.h
     phi, psi = fields.phi, fields.psi
-    r1 = np.zeros(grid.n)
-    r2 = np.zeros(grid.n)
-    r1[1:-1] = (phi[:-2] - 2.0 * phi[1:-1] + phi[2:]) / h2 - eval_f1(
-        params, phi[1:-1], psi[1:-1]
-    )
-    r2[1:-1] = (psi[:-2] - 2.0 * psi[1:-1] + psi[2:]) / h2 - eval_f2(
-        params, phi[1:-1], psi[1:-1]
-    )
-    return r1, r2
+    out = (np.zeros_like(phi), np.zeros_like(psi))
+    for u, f, res in zip((phi, psi), (eval_f1, eval_f2), out):
+        inner = res[1:-1]  # (u[k-1] - 2 u[k] + u[k+1]) / h^2 - f, written in place
+        np.subtract(u[:-2], np.multiply(u[1:-1], 2.0, out=inner), out=inner)
+        inner += u[2:]
+        inner /= h2
+        inner -= f(params, phi[1:-1], psi[1:-1])
+    return out
 
 
 def sup_norms(fields: FieldPair) -> Bounds:

@@ -320,6 +320,29 @@ class TestSolvePicard:
             solve_picard(P1, unit_grid(201), CFG, order)
         assert 0.0 < info.value.residual < 1e-12
 
+    @pytest.mark.parametrize("bad", [0.0, np.nan], ids=["singular", "nan"])
+    def test_unusable_exact_jacobian_raises_matching_failure(self, monkeypatch, bad):
+        # a singular Jacobian fails its solve, a NaN one gives a non-finite
+        # Newton step: either way the line search gives up on an exact
+        # Jacobian at the start's residual
+        endpoint_map = fixedpoint._endpoint_map
+
+        def bad_tangent(params, grid, order, v, tangent=False):
+            st, fv, jac = endpoint_map(params, grid, order, v, tangent)
+            return st, fv, None if jac is None else np.full((2, 2), bad)
+
+        monkeypatch.setattr(fixedpoint, "_endpoint_map", bad_tangent)
+        with pytest.raises(MatchingFailureError) as info:
+            solve_picard(P1, unit_grid(201), CFG, 3)
+        assert info.value.residual > fixedpoint.NEWTON_TOL
+
+    def test_newton_out_of_iterations_raises_matching_failure(self, monkeypatch):
+        # one accepted line-search step does not reach the tolerance
+        monkeypatch.setattr(fixedpoint, "NEWTON_MAX_ITER", 1)
+        with pytest.raises(MatchingFailureError) as info:
+            solve_picard(P1, unit_grid(201), CFG, 3)
+        assert info.value.residual > fixedpoint.NEWTON_TOL
+
     def test_tangent_pass_is_pinned(self, monkeypatch):
         # order 3 on [0, 1]: three forward steps through picard_step and two
         # lifted directions, 6 _volterra calls per step; the Jacobian is the
@@ -334,6 +357,28 @@ class TestSolvePicard:
         assert len(volterra) == 18 and len(steps) == 3
         assert jac.tolist() == [[0.890840532138012, -1.8823591001885718],
                                 [-1.8823591001885709, 2.2218694165095596]]
+
+    def test_tangent_pass_allocates_per_step_not_per_order(self):
+        # each step lifts the two directions into four fresh arrays with one
+        # shared scratch, and the previous step's are then freed: the traced
+        # peak, d, the iterate, two direction pairs, the scratch and the
+        # integrand's temporaries, is 14 arrays at every order (16 when each
+        # output pair was allocated before its integrands, and a generator
+        # kept the last integrand alive)
+        g = unit_grid(20001)
+        mc = match_constants_order1(P1, UNIT)
+        v, peaks = np.array([mc.beta, mc.gamma]), []
+        for order in (1, 3, 12):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                fixedpoint._endpoint_map(P1, g, order, v, tangent=True)
+                peaks.append((tracemalloc.get_traced_memory()[1] - base) / g.nodes.nbytes)
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) - min(peaks) <= 0.05
+        assert max(peaks) < 14 + 0.25
 
     @pytest.mark.parametrize("order", [1, 3, 6])
     def test_tangent_jacobian_matches_central_differences(self, order):

@@ -228,6 +228,38 @@ class TestResidual:
         for coarse, fine in zip(maxima, maxima[1:]):
             assert coarse / fine == pytest.approx(4.0, rel=0.15)
 
+    @pytest.mark.parametrize("n", [2000, 2001])
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    def test_equals_the_nested_expression(self, n, dtype):
+        # the in-place stencil keeps the nested expression's operations and
+        # their order, bit for bit, in the fields' own dtype
+        rng = np.random.default_rng(n)
+        p, g = SystemParams(0.7, -1.3, 2.9), Grid.uniform(Domain(-0.4, 1.1), n)
+        phi, psi = rng.normal(size=(2, n)).astype(dtype)
+        r1, r2 = residual(p, g, FieldPair(phi, psi))
+        assert r1.dtype == r2.dtype == dtype
+        h2 = g.h * g.h
+        want1 = (phi[:-2] - 2.0 * phi[1:-1] + phi[2:]) / h2 - eval_f1(p, phi[1:-1], psi[1:-1])
+        want2 = (psi[:-2] - 2.0 * psi[1:-1] + psi[2:]) / h2 - eval_f2(p, phi[1:-1], psi[1:-1])
+        assert np.array_equal(r1[1:-1], want1) and np.array_equal(r2[1:-1], want2)
+        assert r1[0] == r1[-1] == r2[0] == r2[-1] == 0.0
+
+    def test_at_most_four_arrays_live(self):
+        # the two outputs and eval_f's two temporaries; the nested expression
+        # held five at once
+        n = 20001
+        g = Grid.uniform(Domain(0.0, 1.0), n)
+        f = FieldPair(*np.random.default_rng(4).uniform(-1.0, 1.0, (2, n)))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            residual(SystemParams(), g, f)
+            peak = (tracemalloc.get_traced_memory()[1] - base) / f.phi.nbytes
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.25
+
 
 class TestSupNorms:
     def test_zero(self):

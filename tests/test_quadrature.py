@@ -85,6 +85,19 @@ def test_cumulative_simpson_matches_fancy_index_reference(n, dtype):
     assert np.array_equal(buf, ref)
 
 
+@pytest.mark.parametrize("n", [0, 1])
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_cumulative_of_fewer_than_two_samples_is_zero(n, dtype):
+    # no interval to integrate over: zeros of the input's length and dtype,
+    # fresh or written over a NaN-filled buffer
+    y, h = np.full(n, 2.5, dtype=dtype), dtype(0.37)
+    got = quadrature.cumulative(y, h)
+    assert got.dtype == dtype and np.array_equal(got, np.zeros(n))
+    buf = np.full(n, np.nan, dtype=dtype)
+    assert quadrature.cumulative(y, h, out=buf) is buf
+    assert np.array_equal(buf, np.zeros(n))
+
+
 def test_preserves_longdouble():
     y = np.linspace(0, 1, 11).astype(np.longdouble)
     out = quadrature.cumulative(y, np.longdouble(0.1))
