@@ -110,11 +110,19 @@ def existence_interval_bound(params: SystemParams, bounds: Bounds) -> float:
     return (8.0 * (bounds.M + bounds.Mstar) / (cb.K1 + cb.K2)) ** (1.0 / 3.0)
 
 
+def _length_squared(domain: Domain) -> float:
+    """L^2, inf where it overflows; the Certificate's finite check rejects that."""
+    try:
+        return domain.length**2
+    except OverflowError:
+        return math.inf
+
+
 def uniqueness_constant(params: SystemParams, domain: Domain, bounds: Bounds) -> float:
     """Contraction constant A; A < 1 implies at most one solution."""
     lip = lipschitz(params, bounds)
     biggest = max(max(lip.L11, lip.L21), max(lip.L12, lip.L22))
-    return domain.length**2 / 8.0 * biggest
+    return _length_squared(domain) / 8.0 * biggest
 
 
 def certify(params: SystemParams, domain: Domain, bounds: Bounds) -> Certificate:
@@ -130,7 +138,7 @@ def certify(params: SystemParams, domain: Domain, bounds: Bounds) -> Certificate
         lipschitz=lip,
         L_max=L_max,
         A=A,
-        equicontinuity=domain.length**2 / 8.0 * (cb.K1 + cb.K2),
+        equicontinuity=_length_squared(domain) / 8.0 * (cb.K1 + cb.K2),
         exists_ok=domain.length <= L_max,
         unique_ok=A < 1.0,
     )

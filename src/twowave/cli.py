@@ -18,6 +18,8 @@ import dataclasses
 import functools
 import itertools
 import json
+import os
+import stat
 import sys
 import warnings
 from dataclasses import dataclass, field
@@ -136,12 +138,25 @@ def _read_text(path, what: str, error: type) -> str:
             raise error(f"{what} is not UTF-8 text: {exc}") from None
 
 
+def _open_untruncated(path, flags: int) -> int:
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
 def _write_text(path, text: str) -> None:
+    """Write ``text`` to ``path``, or to standard output for '-'.
+
+    An existing file is written over and then cut to the new length, not
+    truncated on open: truncating first is several times slower where the
+    file system discards freed blocks at once (ext4 mounted with discard).
+    Only regular files are cut; /dev/stdout, pipes and devices are not.
+    """
     if path == "-":
         sys.stdout.write(text)
         return
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n", opener=_open_untruncated) as fh:
         fh.write(text)
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate()
 
 
 def _write_json(path: str, doc) -> None:

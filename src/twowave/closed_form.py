@@ -50,7 +50,9 @@ class SeriesParams:
 
 
 def _sech(u):
-    return 1.0 / np.cosh(u)
+    # cosh overflows past |u| ~ 710, where 1/inf = 0 is sech's exact double limit.
+    with np.errstate(over="ignore"):
+        return 1.0 / np.cosh(u)
 
 
 def exact_alpha1(x, p: ExactSolutionParams):

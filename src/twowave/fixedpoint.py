@@ -11,6 +11,11 @@ One lift, `_lift`, computes slope*d + V(g) for one integrand g. The sweep lifts
 f1(u) and f2(u), and the Newton tangent pass the linearised integrands df(u) du,
 each under one errstate: overflow shows as non-finite values, not warnings.
 
+Every array a sweep or a lift touches is in even–odd order (`quadrature.split`),
+so the running integrals read and write contiguous halves; node n - 1 (l2)
+sits at `quadrature.l2_index(n)`. `picard_step` splits its state and merges its
+result, and `green_kernel_iterate` splits its start and merges its result once.
+
 * Picard successive approximation on the Volterra form u = slope*d + V(f(u)),
   the textbook double integral, with the unknown left-end slopes
   (beta, gamma) matched so the iterate vanishes at l2.
@@ -91,12 +96,13 @@ def _anchored(grid: Grid) -> np.ndarray:
     return np.linspace(0.0, grid.domain.length, grid.n, dtype=grid.nodes.dtype)
 
 
-def _volterra(f: np.ndarray, h: float, c1=None, out=None) -> np.ndarray:
+def _volterra(f: np.ndarray, h: float, c1: np.ndarray, out: np.ndarray) -> np.ndarray:
     """V(f) = int_{l1}^{x_k} (x_k - t) f(t) dt, the running integral taken twice.
 
-    The first running integral goes into ``c1`` and V(f) into ``out``, each fresh when None.
+    f, the first running integral ``c1`` and V(f) in ``out`` are all in even–odd order.
     """
-    return quadrature.cumulative(quadrature.cumulative(f, h, out=c1), h, out=out)
+    first = quadrature.cumulative(f, h, c1, halves=True)
+    return quadrature.cumulative(first, h, out, halves=True)
 
 
 def _empty(like: np.ndarray, k: int) -> list[np.ndarray]:
@@ -107,35 +113,44 @@ def _empty(like: np.ndarray, k: int) -> list[np.ndarray]:
 def _lift(d, h: float, g, slope, out, scratch) -> np.ndarray:
     """slope*d + V(g) into ``out``; a slope of None is the Green slope -V(g)(l2)/L.
 
-    ``scratch`` holds the first running integral and then slope*d.
+    All arrays are in even–odd order. ``scratch`` holds the first running
+    integral and then slope*d.
     """
     _volterra(g, h, scratch, out)
     if slope is None:
-        slope = -out[-1] / d[-1]
+        end = quadrature.l2_index(d.size)
+        slope = -out[end] / d[end]
     return np.add(out, np.multiply(d, slope, out=scratch), out=out)
 
 
-def _sweep(params: SystemParams, d, h: float, fields: FieldPair, slopes: tuple,
-           step: int, work, out) -> tuple[FieldPair, list[float]]:
-    """Apply u <- slope*d + V(f(u)) to both fields once: one `_lift` of each f(u).
+def _sweep(params: SystemParams, d, h: float, fields, slopes: tuple, work, out) -> list[float]:
+    """Apply u <- slope*d + V(f(u)) to the pair ``fields`` once: one `_lift` of each f(u).
 
     ``slopes`` holds the left-end slopes of (phi, psi), None as in `_lift`.
     ``work`` holds two buffers, the integrand f(u) and the scratch, and the
-    new fields go into the pair ``out``; all are like the fields and share no
-    memory with them. Returns the new fields and the sup norms of the two
-    updates; non-finite values raise DivergenceError(step).
+    new fields go into the pair ``out``; all are in even–odd order, like the
+    fields, and share no memory with them. Returns the sup norms of the two
+    updates. Overflow leaves non-finite fields and norms, which the caller
+    checks with `_finite`.
     """
-    phi, psi = fields.phi, fields.psi
+    phi, psi = fields
     g, scratch = work
     with np.errstate(over="ignore", invalid="ignore"):
         _lift(d, h, eval_f1(params, phi, psi, out=g), slopes[0], out[0], scratch)
         _lift(d, h, eval_f2(params, phi, psi, out=g, scratch=scratch), slopes[1], out[1], scratch)
+        return [float(np.max(np.abs(np.subtract(u, old, out=scratch), out=scratch)))
+                for u, old in zip(out, fields)]
+
+
+def _finite(pair, step: int) -> FieldPair:
+    """The pair (phi, psi) as a FieldPair: the one finite check of a sweep.
+
+    Non-finite values raise DivergenceError(step).
+    """
     try:
-        swept = FieldPair(*out)  # the one finite check of the sweep
+        return FieldPair(*pair)
     except ConfigurationError:
         raise DivergenceError(step) from None
-    return swept, [float(np.max(np.abs(np.subtract(u, old, out=scratch), out=scratch)))
-                   for u, old in zip(out, (phi, psi))]
 
 
 def initial_state(grid: Grid, consts: MatchingConstants) -> PicardState:
@@ -152,13 +167,18 @@ def picard_step(params: SystemParams, grid: Grid, state: PicardState) -> PicardS
     """Advance the Picard recursion by one iterate, with the state's slopes held fixed."""
     c, like = state.constants, state.fields.phi
     grid.check_samples(like)
-    # Work buffers (the first pair) before the fields that outlive them: freed below
-    # those, their memory is reused instead of trimmed from the heap top and faulted in again.
-    fields, norms = _sweep(params, _anchored(grid), grid.h, state.fields, (c.beta, c.gamma),
-                           state.n + 1, _empty(like, 2), _empty(like, 2))
+    d = quadrature.split(_anchored(grid))
+    # The sweep's buffers before the pair that outlives them, which holds the split
+    # state and then the merged result: freed below that pair, their memory is reused
+    # instead of trimmed from the heap top and faulted in again.
+    work, new = _empty(like, 2), _empty(like, 2)
+    fields = [quadrature.split(u) for u in (state.fields.phi, state.fields.psi)]
+    norms = _sweep(params, d, grid.h, fields, (c.beta, c.gamma), work, new)
+    for u, merged in zip(new, fields):
+        quadrature.merge(u, out=merged)
     return PicardState(
         n=state.n + 1,
-        fields=fields,
+        fields=_finite(fields, state.n + 1),
         constants=c,
         diff_norms=state.diff_norms + (max(norms),),
     )
@@ -212,8 +232,17 @@ def _order1_slopes(params: SystemParams, L: float, beta_sign: float) -> Matching
     gamma = 12 (r + L^2/6)/L^3 and beta^2 = 24 s gamma (1 + alpha L^2/(6 s))/L^3.
     """
     r, s, alpha = params.r, params.s, params.alpha
-    gamma = 12.0 * (r + L * L / 6.0) / L**3
-    radicand = 24.0 * s * gamma * (1.0 + alpha * L * L / (6.0 * s)) / L**3
+    try:
+        cube = L**3
+    except OverflowError:
+        cube = 0.0
+    if cube == 0.0:
+        # L^3 leaves the double range, by overflow or by underflow to 0. An
+        # infinite cube would read gamma = 0 where it is about 2/L, so the
+        # slopes are NaN instead, which MatchingConstants rejects.
+        cube = math.nan
+    gamma = 12.0 * (r + L * L / 6.0) / cube
+    radicand = 24.0 * s * gamma * (1.0 + alpha * L * L / (6.0 * s)) / cube
     if radicand < 0.0:
         raise NoRealSolutionError(radicand)
     return MatchingConstants(math.copysign(math.sqrt(radicand), beta_sign), gamma)
@@ -237,21 +266,45 @@ def _endpoint_map(params: SystemParams, grid: Grid, order: int, v,
     """
     st = initial_state(grid, MatchingConstants(v[0], v[1]))
     if tangent:
-        d, h, r, s, alpha = _anchored(grid), grid.h, params.r, params.s, params.alpha
+        d = quadrature.split(_anchored(grid))
         units = ((1.0, 0.0), (0.0, 1.0))
         dirs = [(a * d, b * d) for a, b in units]  # iterate 0 of (dphi, dpsi)
     for _ in range(order):
         if tangent:
-            phi, psi, tmp = st.fields.phi, st.fields.psi, np.empty_like(d)  # one shared scratch
-            with np.errstate(over="ignore", invalid="ignore"):
-                dirs = [(_lift(d, h, ((1.0 - psi) * a - phi * b) / r, da, np.empty_like(d), tmp),
-                         _lift(d, h, (alpha * b - phi * a) / s, db, np.empty_like(d), tmp))
-                        for (a, b), (da, db) in zip(dirs, units)]
+            _tangent_step(params, d, grid.h, st.fields, dirs, units)
         st = picard_step(params, grid, st)
     fv = np.array([st.fields.phi[-1], st.fields.psi[-1]])
-    jac = np.array([[dirs[0][0][-1], dirs[1][0][-1]],
-                    [dirs[0][1][-1], dirs[1][1][-1]]]) if tangent else None
+    if not tangent:
+        return st, fv, None
+    end = quadrature.l2_index(grid.n)
+    jac = np.array([[dirs[0][0][end], dirs[1][0][end]],
+                    [dirs[0][1][end], dirs[1][1][end]]])
     return st, fv, jac
+
+
+def _tangent_step(params: SystemParams, d, h: float, fields: FieldPair, dirs, units) -> None:
+    """Advance each direction (dphi, dpsi) in ``dirs`` one linearised sweep, in place.
+
+    The directions and d are in even–odd order; ``fields`` is the iterate in
+    node order, before its own step, and ``units`` holds each direction's slopes.
+    A direction forms both of its integrands before its own arrays take the lifts.
+    The split iterate and the three buffers are freed on return, before the
+    iterate's own `picard_step` allocates.
+    """
+    phi, psi = (quadrature.split(u) for u in (fields.phi, fields.psi))
+    g1, g2, scratch = _empty(d, 3)
+    r, s, alpha = params.r, params.s, params.alpha
+    with np.errstate(over="ignore", invalid="ignore"):
+        for (a, b), (da, db) in zip(dirs, units):
+            np.subtract(1.0, psi, out=g1)  # ((1 - psi) a - phi b) / r
+            g1 *= a
+            g1 -= np.multiply(phi, b, out=scratch)
+            g1 /= r
+            np.multiply(b, alpha, out=g2)  # (alpha b - phi a) / s
+            g2 -= np.multiply(phi, a, out=scratch)
+            g2 /= s
+            _lift(d, h, g1, da, a, scratch)
+            _lift(d, h, g2, db, b, scratch)
 
 
 def _line_search(params, grid, order, v, fv, jac, res):
@@ -371,17 +424,23 @@ def green_kernel_iterate(
     NotConvergedError if cfg.max_iter applications do not get there.
     """
     grid.check_samples(start.phi)
-    d = _anchored(grid)
-    # The sweep's two work buffers and two field pairs, written in turn (never
-    # `start`): every sweep runs in these six arrays. Work first, as in `picard_step`.
+    d = quadrature.split(_anchored(grid))
+    # The sweep's two work buffers and two field pairs in even–odd order, written
+    # in turn (never `start`): every sweep runs in these six arrays. Work first,
+    # as in `picard_step`. Sweep k reads pairs[k % 2], so start goes to pairs[0],
+    # and the result is merged into the pair the last sweep read. Starting in
+    # pairs[1] instead doubled green-sweep's page faults per call (`mem.minflt`).
     work = _empty(start.phi, 2)
     pairs = (_empty(start.phi, 2), _empty(start.phi, 2))
-    fields = start
+    for u, half in zip((start.phi, start.psi), pairs[0]):
+        quadrature.split(u, out=half)
     trace: list[float] = []
     for k in range(cfg.max_iter):
-        fields, (dphi, dpsi) = _sweep(params, d, grid.h, fields, (None, None), k + 1,
-                                      work, pairs[k % 2])
+        old, new = pairs[k % 2], pairs[(k + 1) % 2]
+        dphi, dpsi = _sweep(params, d, grid.h, old, (None, None), work, new)
+        _finite(new, k + 1)
         trace.append(dphi + dpsi)
         if trace[-1] < cfg.tol:
-            return fields, trace
+            # merged once, into the pair this sweep read
+            return FieldPair(*(quadrature.merge(u, out=b) for u, b in zip(new, old))), trace
     raise NotConvergedError(len(trace), trace[-1])

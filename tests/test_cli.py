@@ -67,6 +67,28 @@ class TestExactCommand:
     def test_unwritable_path(self, tmp_path):
         assert run_cli("exact", "--n", 11, "--out", tmp_path / "no" / "dir.csv") == 4
 
+    def test_new_file_gets_the_default_mode(self, tmp_path):
+        # created as open(path, "w") creates files: 0o666 less the umask
+        ref, out = tmp_path / "ref", tmp_path / "p.csv"
+        ref.open("w").close()
+        assert run_cli("exact", "--n", 11, "--out", out) == 0
+        assert out.stat().st_mode == ref.stat().st_mode
+
+    def test_shorter_rewrite_leaves_no_stale_tail(self, tmp_path):
+        # files are written over and cut to length, not truncated on open
+        out, ref = tmp_path / "p.csv", tmp_path / "ref.csv"
+        assert run_cli("exact", "--n", 2001, "--out", out) == 0
+        assert run_cli("exact", "--n", 11, "--out", out) == 0
+        assert run_cli("exact", "--n", 11, "--out", ref) == 0
+        assert out.read_bytes() == ref.read_bytes()
+
+    def test_dev_stdout(self, tmp_path, capfd):
+        ref = tmp_path / "ref.csv"
+        assert run_cli("exact", "--n", 11, "--out", ref) == 0
+        capfd.readouterr()
+        assert run_cli("exact", "--n", 11, "--out", "/dev/stdout") == 0
+        assert capfd.readouterr().out == ref.read_text()
+
 
 class TestSeriesCommand:
     def test_bright_leading_order(self, tmp_path):
@@ -364,6 +386,24 @@ class TestConfigDocument:
     def test_non_finite_setting_exits_2(self, tmp_path, capsys, command, flags, message):
         assert run_cli(command, *flags, "--out", tmp_path / "out") == 2
         assert capsys.readouterr().err.startswith(message)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["solve", "--l1", 0, "--l2", 1e-110], "error: beta must be finite, got nan"),
+        (["solve", "--l1", 0, "--l2", 1e-100], "error: beta must be finite, got inf"),
+        (["solve", "--l1", 0, "--l2", 1e110], "error: beta must be finite, got nan"),
+        (["solve", "--l1", 0, "--l2", 1e110, "--picard-order", 3],
+         "error: beta must be finite, got nan"),
+        (["certify", "--M", 1, "--Mstar", 1, "--l1", 0, "--l2", 1e200],
+         "error: A must be finite, got inf"),
+    ], ids=["solve-L3-underflows", "solve-slopes-overflow", "solve-L3-overflows",
+            "solve-order3-L3-overflows", "certify-L2-overflows"])
+    def test_extreme_interval_length_exits_2(self, tmp_path, capsys, argv, message):
+        # L^3 (the order-1 slopes) or L^2 (the certificate) leaves the double
+        # range: one error line from the finite checks, no traceback
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--out", out) == 2
+        assert capsys.readouterr().err.splitlines() == [message]
+        assert not out.exists()
 
     # Only sizes numpy refuses before it allocates anything.
     @pytest.mark.parametrize("flags, message", [

@@ -148,6 +148,20 @@ class TestSampling:
         assert f.phi[2] == pytest.approx(2.0, abs=1e-14)
         assert f.psi[2] == pytest.approx(2.0, abs=1e-14)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind, params, limit", [
+        ("exact", ExactSolutionParams(0.0), (0.0, 0.0)),
+        ("bright", SeriesParams(alpha=1.0, s=1.0, order=1), (0.0, 0.0)),
+        ("dark", SeriesParams(alpha=1.0, s=1.0, order=1), (SQRT2, 1.0)),
+    ])
+    def test_wide_domain_samples_without_warnings(self, kind, params, limit):
+        # cosh overflows past |u| ~ 710 (x > 1420 for exact, 710 for bright,
+        # 1004 for dark); sech reads its exact double limit 0 there
+        g = Grid.uniform(Domain(0.0, 2000.0), 2001)
+        f = sample_closed_form(kind, g, params)
+        far = g.nodes > 1500.0
+        assert np.all(f.phi[far] == limit[0]) and np.all(f.psi[far] == limit[1])
+
     def test_kind_params_mismatch(self):
         g = Grid.uniform(Domain(0, 1), 5)
         with pytest.raises(ConfigurationError):

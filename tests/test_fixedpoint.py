@@ -188,14 +188,38 @@ class TestPicardStep:
     def test_volterra_is_fourth_order(self):
         # V(f)(x) = int_0^x (x - t) f(t) dt for f = e^t sin 3t on [0, 3] is
         # e^x (-8 sin 3x - 6 cos 3x)/100 + 0.06 + 0.3 x; halving h cuts the
-        # error of the twice-applied cumulative Simpson rule about 16 times
+        # error of the twice-applied cumulative Simpson rule about 16 times;
+        # _volterra works in even-odd order, so f is split and V(f) merged
         errs = []
         for n in (1001, 2001):
             x = np.linspace(0.0, 3.0, n)
             exact = np.exp(x) * (-8.0 * np.sin(3 * x) - 6.0 * np.cos(3 * x)) / 100 + 0.06 + 0.3 * x
-            v = fixedpoint._volterra(np.exp(x) * np.sin(3 * x), x[1] - x[0])
+            f = quadrature.split(np.exp(x) * np.sin(3 * x))
+            v = quadrature.merge(fixedpoint._volterra(f, x[1] - x[0], np.empty(n), np.empty(n)))
             errs.append(np.max(np.abs(v - exact)))
         assert errs[0] / errs[1] == pytest.approx(16.0, rel=0.1)
+
+    @pytest.mark.parametrize("n", [2001, 2000])
+    def test_matches_a_plain_allocating_loop(self, n):
+        # three steps of u <- slope*d + V(f(u)), with V = C(C(.)), in node order
+        # and fresh arrays every step; the sweep runs in even-odd order, where
+        # node n - 1 ends the array at even n and the even half at odd n
+        p, L, c = SystemParams(2.0, 0.5, 0.5), 1.5, MatchingConstants(1.3, -0.7)
+        g = Grid.uniform(Domain(0.0, L), n)
+        d = np.linspace(0.0, L, n)
+        phi, psi, want = c.beta * d, c.gamma * d, []
+        state = initial_state(g, c)
+        for _ in range(3):
+            new = []
+            for f, slope in (((phi - phi * psi) / p.r, c.beta),
+                             ((p.alpha * psi - 0.5 * phi * phi) / p.s, c.gamma)):
+                new.append(slope * d + quadrature.cumulative(quadrature.cumulative(f, g.h), g.h))
+            want.append(max(float(np.max(np.abs(new[0] - phi))),
+                            float(np.max(np.abs(new[1] - psi)))))
+            phi, psi = new
+            state = picard_step(p, g, state)
+        assert state.diff_norms == tuple(want)
+        assert np.array_equal(state.fields.phi, phi) and np.array_equal(state.fields.psi, psi)
 
     @pytest.mark.filterwarnings("error")
     def test_divergence_detection(self):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from twowave import quadrature
 
@@ -83,6 +84,25 @@ def test_cumulative_simpson_matches_fancy_index_reference(n, dtype):
     buf = np.full(n, np.nan, dtype=dtype)
     assert quadrature.cumulative(y, h, out=buf) is buf
     assert np.array_equal(buf, ref)
+
+
+@given(n=st.integers(min_value=0, max_value=64),
+       dtype=st.sampled_from([np.float64, np.longdouble]),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_even_odd_order(n, dtype, seed):
+    # split puts the even nodes first, merge undoes it, node n - 1 sits at
+    # l2_index(n), and the running integral on the halves, merged, is the
+    # node-order reference bit for bit
+    y = np.random.default_rng(seed).normal(size=n).astype(dtype)
+    z = quadrature.split(y)
+    assert z.dtype == dtype and np.array_equal(z, np.concatenate((y[0::2], y[1::2])))
+    assert np.array_equal(quadrature.merge(z), y)
+    if n:
+        assert quadrature.split(np.arange(n))[quadrature.l2_index(n)] == n - 1
+    h = dtype(0.37)
+    ref = _fancy_index_cumulative_simpson(y, h) if n >= 2 else np.zeros(n, dtype=dtype)
+    got = quadrature.cumulative(z, h, np.full(n, np.nan, dtype=dtype), halves=True)
+    assert got.dtype == dtype and np.array_equal(quadrature.merge(got), ref)
 
 
 @pytest.mark.parametrize("n", [0, 1])
