@@ -61,9 +61,10 @@ class RunConfig:
     c2: float = _setting(0.0, "translation of the exact pair", "exact")
     series_order: int = _setting(0, "series truncation order (0 or 1)", "series", flag="--order")
     picard_order: int = _setting(1, "number of Picard iterates", "solve")
-    max_iter: int = _setting(50, "sweep limit of the Green iteration (Picard runs exactly "
-                             "--picard-order iterates)", "solve")
-    tol: float = _setting(1e-12, "update norm that ends the Green iteration", "solve")
+    max_iter: int = _setting(fixedpoint.IterConfig.max_iter, "sweep limit of the Green iteration "
+                             "(Picard runs exactly --picard-order iterates)", "solve")
+    tol: float = _setting(fixedpoint.IterConfig.tol, "update norm that ends the Green iteration",
+                          "solve")
     method: str = _setting("picard", "solver", "solve", choices=("picard", "green"))
     beta_sign: str = _setting("+", "sign of the matched slope beta", "solve", choices=("+", "-"))
     seed: int = _setting(0, "seed of the Green iteration's start, which is always random: "

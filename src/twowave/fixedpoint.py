@@ -9,7 +9,9 @@ running integral C = `quadrature.cumulative` taken twice; it sees no coordinate:
 
 One lift, `_lift`, computes slope*d + V(g) for one integrand g. The sweep lifts
 f1(u) and f2(u), and the Newton tangent pass the linearised integrands df(u) du,
-each under one errstate: overflow shows as non-finite values, not warnings.
+each under one errstate: overflow shows as non-finite values, not warnings. The
+sweep's two update norms are the record of an iteration: a non-finite one is
+divergence, and a Picard state's order is the number of norms it holds.
 
 Every array a sweep or a lift touches is in even–odd order (`quadrature.split`),
 so the running integrals read and write contiguous halves; node n - 1 (l2)
@@ -29,7 +31,7 @@ result, and `green_kernel_iterate` splits its start and merges its result once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,16 +81,16 @@ class IterConfig:
 
 @dataclass(frozen=True)
 class PicardState:
-    """One Picard iterate plus its successive-difference history."""
+    """One Picard iterate plus its successive-difference history, one norm per step."""
 
-    n: int
     fields: FieldPair
     constants: MatchingConstants
-    diff_norms: tuple = field(default=())
+    diff_norms: tuple = ()
 
-    def __post_init__(self):
-        if self.n != len(self.diff_norms):
-            raise ConfigurationError("diff_norms must have exactly n entries")
+    @property
+    def n(self) -> int:
+        """The iterate's order: the number of steps that led to it."""
+        return len(self.diff_norms)
 
 
 def _anchored(grid: Grid) -> np.ndarray:
@@ -123,44 +125,34 @@ def _lift(d, h: float, g, slope, out, scratch) -> np.ndarray:
     return np.add(out, np.multiply(d, slope, out=scratch), out=out)
 
 
-def _sweep(params: SystemParams, d, h: float, fields, slopes: tuple, work, out) -> list[float]:
+def _sweep(params: SystemParams, d, h: float, fields, slopes: tuple, work, out,
+           step: int) -> list[float]:
     """Apply u <- slope*d + V(f(u)) to the pair ``fields`` once: one `_lift` of each f(u).
 
     ``slopes`` holds the left-end slopes of (phi, psi), None as in `_lift`.
     ``work`` holds two buffers, the integrand f(u) and the scratch, and the
     new fields go into the pair ``out``; all are in even–odd order, like the
     fields, and share no memory with them. Returns the sup norms of the two
-    updates. Overflow leaves non-finite fields and norms, which the caller
-    checks with `_finite`.
+    updates. The old fields are finite, so a norm is finite exactly when its
+    new field is, unless the update itself overflows: a norm that is not
+    finite raises DivergenceError(step).
     """
     phi, psi = fields
     g, scratch = work
     with np.errstate(over="ignore", invalid="ignore"):
         _lift(d, h, eval_f1(params, phi, psi, out=g), slopes[0], out[0], scratch)
         _lift(d, h, eval_f2(params, phi, psi, out=g, scratch=scratch), slopes[1], out[1], scratch)
-        return [float(np.max(np.abs(np.subtract(u, old, out=scratch), out=scratch)))
-                for u, old in zip(out, fields)]
-
-
-def _finite(pair, step: int) -> FieldPair:
-    """The pair (phi, psi) as a FieldPair: the one finite check of a sweep.
-
-    Non-finite values raise DivergenceError(step).
-    """
-    try:
-        return FieldPair(*pair)
-    except ConfigurationError:
-        raise DivergenceError(step) from None
+        norms = [float(np.max(np.abs(np.subtract(u, old, out=scratch), out=scratch)))
+                 for u, old in zip(out, fields)]
+    if not all(map(math.isfinite, norms)):
+        raise DivergenceError(step)
+    return norms
 
 
 def initial_state(grid: Grid, consts: MatchingConstants) -> PicardState:
     """Iterate 0: the straight lines beta*(x - l1), gamma*(x - l1)."""
     d = _anchored(grid)
-    return PicardState(
-        n=0,
-        fields=FieldPair(consts.beta * d, consts.gamma * d),
-        constants=consts,
-    )
+    return PicardState(FieldPair(consts.beta * d, consts.gamma * d), consts)
 
 
 def picard_step(params: SystemParams, grid: Grid, state: PicardState) -> PicardState:
@@ -173,15 +165,10 @@ def picard_step(params: SystemParams, grid: Grid, state: PicardState) -> PicardS
     # instead of trimmed from the heap top and faulted in again.
     work, new = _empty(like, 2), _empty(like, 2)
     fields = [quadrature.split(u) for u in (state.fields.phi, state.fields.psi)]
-    norms = _sweep(params, d, grid.h, fields, (c.beta, c.gamma), work, new)
+    norms = _sweep(params, d, grid.h, fields, (c.beta, c.gamma), work, new, state.n + 1)
     for u, merged in zip(new, fields):
         quadrature.merge(u, out=merged)
-    return PicardState(
-        n=state.n + 1,
-        fields=_finite(fields, state.n + 1),
-        constants=c,
-        diff_norms=state.diff_norms + (max(norms),),
-    )
+    return PicardState(FieldPair(*fields), c, state.diff_norms + (max(norms),))
 
 
 def first_iterate(
@@ -437,8 +424,7 @@ def green_kernel_iterate(
     trace: list[float] = []
     for k in range(cfg.max_iter):
         old, new = pairs[k % 2], pairs[(k + 1) % 2]
-        dphi, dpsi = _sweep(params, d, grid.h, old, (None, None), work, new)
-        _finite(new, k + 1)
+        dphi, dpsi = _sweep(params, d, grid.h, old, (None, None), work, new, k + 1)
         trace.append(dphi + dpsi)
         if trace[-1] < cfg.tol:
             # merged once, into the pair this sweep read

@@ -56,7 +56,7 @@ class SystemParams:
 
 @dataclass(frozen=True)
 class Domain:
-    """Finite interval [l1, l2] the boundary conditions are imposed on."""
+    """Finite interval [l1, l2], of finite length, the boundary conditions are imposed on."""
 
     l1: float
     l2: float
@@ -65,6 +65,7 @@ class Domain:
         _require_finite(self, "l1", "l2")
         if not self.l2 > self.l1:
             raise ConfigurationError(f"need l2 > l1, got [{self.l1}, {self.l2}]")
+        _require_finite(self, "length")
 
     @property
     def length(self) -> float:

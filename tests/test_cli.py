@@ -405,6 +405,19 @@ class TestConfigDocument:
         assert capsys.readouterr().err.splitlines() == [message]
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["exact"], ["series", "bright"], ["solve"], ["solve", "--method", "green"],
+        ["certify", "--M", 1, "--Mstar", 1],
+    ], ids=["exact", "series-bright", "solve", "solve-green", "certify"])
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_interval_length_exits_2(self, tmp_path, capsys, argv):
+        # finite endpoints whose length l2 - l1 overflows: the one error line
+        # names the length, before any grid is built
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--l1=-1e308", "--l2", 1e308, "--out", out) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: length must be finite, got inf"]
+        assert not out.exists()
+
     # Only sizes numpy refuses before it allocates anything.
     @pytest.mark.parametrize("flags, message", [
         (["--n", -5], "error: grid needs at least 3 nodes"),

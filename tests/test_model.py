@@ -172,7 +172,7 @@ SHORT_FIELD_CALLS = {
     "sobolev_h1_norm": lambda g, f: sobolev_h1_norm(g, f.phi),
     "norm_ordering": lambda g, f: norm_ordering(SystemParams(), g, f),
     "picard_step": lambda g, f: picard_step(SystemParams(), g,
-                                            PicardState(0, f, MatchingConstants(1.0, 1.0))),
+                                            PicardState(f, MatchingConstants(1.0, 1.0))),
     "green_kernel_iterate": lambda g, f: green_kernel_iterate(SystemParams(), g, f,
                                                               IterConfig()),
 }
