@@ -15,8 +15,10 @@ divergence, and a Picard state's order is the number of norms it holds.
 
 Every array a sweep or a lift touches is in even–odd order (`quadrature.split`),
 so the running integrals read and write contiguous halves; node n - 1 (l2)
-sits at `quadrature.l2_index(n)`. `picard_step` splits its state and merges its
-result, and `green_kernel_iterate` splits its start and merges its result once.
+sits at `quadrature.l2_index(n)`. A Picard forward solve (`_forward_solve`)
+starts in halves, or splits the state `picard_step` is given, sweeps in buffers
+allocated once and merges its last iterate once; `green_kernel_iterate` splits
+its start and merges its result once.
 
 * Picard successive approximation on the Volterra form u = slope*d + V(f(u)),
   the textbook double integral, with the unknown left-end slopes
@@ -157,18 +159,50 @@ def initial_state(grid: Grid, consts: MatchingConstants) -> PicardState:
 
 def picard_step(params: SystemParams, grid: Grid, state: PicardState) -> PicardState:
     """Advance the Picard recursion by one iterate, with the state's slopes held fixed."""
-    c, like = state.constants, state.fields.phi
-    grid.check_samples(like)
+    grid.check_samples(state.fields.phi)
+    return _forward_solve(params, grid, state.constants, 1, state)[0]
+
+
+def _forward_solve(params: SystemParams, grid: Grid, c: MatchingConstants, order: int,
+                   start: PicardState | None = None, tangent: bool = False):
+    """``order`` Picard sweeps with slopes ``c``, in even–odd order from end to end.
+
+    The walk starts from ``start``, or from iterate 0, (beta d, gamma d), when it
+    is None. Returns the last iterate as a `PicardState` in node order, the same
+    iterate in even–odd order, and with ``tangent`` the two unit slope
+    directions advanced alongside it (see `_endpoint_map`), else None.
+
+    Every sweep runs in buffers allocated once: the sweep's integrand and
+    scratch, allocated first as in `green_kernel_iterate`, and two field pairs
+    written in turn. Sweep k reads pairs[k % 2], and the last iterate is merged
+    once into the other pair, which the returned state holds.
+    """
     d = quadrature.split(_anchored(grid))
-    # The sweep's buffers before the pair that outlives them, which holds the split
-    # state and then the merged result: freed below that pair, their memory is reused
-    # instead of trimmed from the heap top and faulted in again.
-    work, new = _empty(like, 2), _empty(like, 2)
-    fields = [quadrature.split(u) for u in (state.fields.phi, state.fields.psi)]
-    norms = _sweep(params, d, grid.h, fields, (c.beta, c.gamma), work, new, state.n + 1)
-    for u, merged in zip(new, fields):
-        quadrature.merge(u, out=merged)
-    return PicardState(FieldPair(*fields), c, state.diff_norms + (max(norms),))
+    like = d if start is None else start.fields.phi
+    work = _empty(like, 2)
+    pairs = (_empty(like, 2), _empty(like, 2))
+    if start is None:
+        np.multiply(d, c.beta, out=pairs[0][0])
+        np.multiply(d, c.gamma, out=pairs[0][1])
+        norms = []
+    else:
+        for u, half in zip((start.fields.phi, start.fields.psi), pairs[0]):
+            quadrature.split(u, out=half)
+        norms = list(start.diff_norms)
+    dirs = None
+    if tangent:
+        units = ((1.0, 0.0), (0.0, 1.0))
+        dirs = [(a * d, b * d) for a, b in units]  # iterate 0 of (dphi, dpsi)
+        buffers = (work[0], np.empty_like(d), work[1])
+    for k in range(order):
+        old, new = pairs[k % 2], pairs[(k + 1) % 2]
+        if tangent:
+            _tangent_step(params, d, grid.h, old, dirs, units, buffers)
+        norms.append(max(_sweep(params, d, grid.h, old, (c.beta, c.gamma), work, new,
+                                len(norms) + 1)))
+    last, spare = pairs[order % 2], pairs[(order + 1) % 2]
+    fields = FieldPair(*(quadrature.merge(u, out=b) for u, b in zip(last, spare)))
+    return PicardState(fields, c, tuple(norms)), last, dirs
 
 
 def first_iterate(
@@ -251,35 +285,28 @@ def _endpoint_map(params: SystemParams, grid: Grid, order: int, v,
     and df2 = (alpha dpsi - phi dphi)/s. That is two more `_volterra` calls
     per field: a tangent pass costs three forward solves.
     """
-    st = initial_state(grid, MatchingConstants(v[0], v[1]))
-    if tangent:
-        d = quadrature.split(_anchored(grid))
-        units = ((1.0, 0.0), (0.0, 1.0))
-        dirs = [(a * d, b * d) for a, b in units]  # iterate 0 of (dphi, dpsi)
-    for _ in range(order):
-        if tangent:
-            _tangent_step(params, d, grid.h, st.fields, dirs, units)
-        st = picard_step(params, grid, st)
-    fv = np.array([st.fields.phi[-1], st.fields.psi[-1]])
+    st, last, dirs = _forward_solve(params, grid, MatchingConstants(v[0], v[1]), order,
+                                    tangent=tangent)
+    end = quadrature.l2_index(grid.n)
+    fv = np.array([last[0][end], last[1][end]])
     if not tangent:
         return st, fv, None
-    end = quadrature.l2_index(grid.n)
     jac = np.array([[dirs[0][0][end], dirs[1][0][end]],
                     [dirs[0][1][end], dirs[1][1][end]]])
     return st, fv, jac
 
 
-def _tangent_step(params: SystemParams, d, h: float, fields: FieldPair, dirs, units) -> None:
+def _tangent_step(params: SystemParams, d, h: float, fields, dirs, units, buffers) -> None:
     """Advance each direction (dphi, dpsi) in ``dirs`` one linearised sweep, in place.
 
-    The directions and d are in even–odd order; ``fields`` is the iterate in
-    node order, before its own step, and ``units`` holds each direction's slopes.
-    A direction forms both of its integrands before its own arrays take the lifts.
-    The split iterate and the three buffers are freed on return, before the
-    iterate's own `picard_step` allocates.
+    The directions, d and the iterate ``fields`` (before its own sweep) are in
+    even–odd order, and ``units`` holds each direction's slopes. ``buffers``
+    holds the two integrands and a scratch, which the iterate's sweep reuses
+    afterwards. A direction forms both of its integrands before its own arrays
+    take the lifts.
     """
-    phi, psi = (quadrature.split(u) for u in (fields.phi, fields.psi))
-    g1, g2, scratch = _empty(d, 3)
+    phi, psi = fields
+    g1, g2, scratch = buffers
     r, s, alpha = params.r, params.s, params.alpha
     with np.errstate(over="ignore", invalid="ignore"):
         for (a, b), (da, db) in zip(dirs, units):

@@ -313,16 +313,20 @@ class TestSolvePicard:
         assert gap23 < gap12
 
     def test_match_returns_the_accepted_iterate(self, monkeypatch):
-        # 6 passes of 3 steps each (the tangent pass, then five line-search
+        # 6 order-3 forward solves (the tangent pass, then five line-search
         # trials): the accepted trial's iterate is the last one computed and
         # is returned as is, not solved once more
-        steps = []
-        step = fixedpoint.picard_step
-        monkeypatch.setattr(fixedpoint, "picard_step",
-                            lambda *a: steps.append(step(*a)) or steps[-1])
+        solves = []
+        endpoint_map = fixedpoint._endpoint_map
+
+        def counted(params, grid, order, v, tangent=False):
+            solves.append((grid.n, order, tangent, endpoint_map(params, grid, order, v, tangent)))
+            return solves[-1][3]
+
+        monkeypatch.setattr(fixedpoint, "_endpoint_map", counted)
         st = solve_picard(P1, unit_grid(2001), CFG, 3)
-        assert len(steps) == 6 * 3
-        assert st is steps[-1]
+        assert [s[:3] for s in solves] == [(2001, 3, True)] + [(2001, 3, False)] * 5
+        assert st is solves[-1][3][0]
 
     def test_order1_takes_one_forward_solve(self, monkeypatch):
         # the true closed-form start is the order-1 root, exact under Simpson
@@ -372,27 +376,22 @@ class TestSolvePicard:
         assert info.value.residual > fixedpoint.NEWTON_TOL
 
     def test_tangent_pass_is_pinned(self, monkeypatch):
-        # order 3 on [0, 1]: three forward steps through picard_step and two
-        # lifted directions, 6 _volterra calls per step; the Jacobian is the
-        # one the hand-written linearised sweep gave, bit for bit
-        volterra, steps = [], []
-        vol, step = fixedpoint._volterra, fixedpoint.picard_step
+        # order 3 on [0, 1]: three forward steps and two lifted directions,
+        # 6 _volterra calls per step; the Jacobian is the one the hand-written
+        # linearised sweep gave, bit for bit
+        volterra = []
+        vol = fixedpoint._volterra
         monkeypatch.setattr(fixedpoint, "_volterra", lambda *a: volterra.append(1) or vol(*a))
-        monkeypatch.setattr(fixedpoint, "picard_step", lambda *a: steps.append(1) or step(*a))
         mc = match_constants_order1(P1, UNIT)
-        _, _, jac = fixedpoint._endpoint_map(P1, unit_grid(2001), 3,
-                                             np.array([mc.beta, mc.gamma]), tangent=True)
-        assert len(volterra) == 18 and len(steps) == 3
+        st, _, jac = fixedpoint._endpoint_map(P1, unit_grid(2001), 3,
+                                              np.array([mc.beta, mc.gamma]), tangent=True)
+        assert len(volterra) == 18 and st.n == 3
         assert jac.tolist() == [[0.890840532138012, -1.8823591001885718],
                                 [-1.8823591001885709, 2.2218694165095596]]
 
-    def test_tangent_pass_allocates_per_step_not_per_order(self):
-        # each step lifts the two directions into four fresh arrays with one
-        # shared scratch, and the previous step's are then freed: the traced
-        # peak, d, the iterate, two direction pairs, the scratch and the
-        # integrand's temporaries, is 14 arrays at every order (16 when each
-        # output pair was allocated before its integrands, and a generator
-        # kept the last integrand alive)
+    @staticmethod
+    def forward_solve_peaks(tangent):
+        # tracemalloc peaks of one forward solve at n = 20001, in arrays, at orders 1, 3 and 12
         g = unit_grid(20001)
         mc = match_constants_order1(P1, UNIT)
         v, peaks = np.array([mc.beta, mc.gamma]), []
@@ -401,12 +400,45 @@ class TestSolvePicard:
             try:
                 base = tracemalloc.get_traced_memory()[0]
                 tracemalloc.reset_peak()
-                fixedpoint._endpoint_map(P1, g, order, v, tangent=True)
+                fixedpoint._endpoint_map(P1, g, order, v, tangent=tangent)
                 peaks.append((tracemalloc.get_traced_memory()[1] - base) / g.nodes.nbytes)
             finally:
                 tracemalloc.stop()
+        return peaks
+
+    def test_forward_solve_allocates_once_not_per_step(self):
+        # d, the sweep's integrand and scratch and two field pairs written in
+        # turn, all allocated once per solve: 7 arrays at every order
+        peaks = self.forward_solve_peaks(tangent=False)
         assert max(peaks) - min(peaks) <= 0.05
-        assert max(peaks) < 14 + 0.25
+        assert max(peaks) < 7 + 0.25
+
+    def test_tangent_pass_allocates_per_step_not_per_order(self):
+        # the plain solve's 7 arrays, two direction pairs and one more
+        # integrand, all allocated once per pass; the directions' lifts borrow
+        # the sweep's integrand and scratch: 12 arrays at every order
+        peaks = self.forward_solve_peaks(tangent=True)
+        assert max(peaks) - min(peaks) <= 0.05
+        assert max(peaks) < 12 + 0.25
+
+    @pytest.mark.parametrize("n, dtype", [(2000, np.float64), (2001, np.float64),
+                                          (2001, np.longdouble)])
+    @pytest.mark.parametrize("tangent", [False, True], ids=["plain", "tangent"])
+    def test_forward_solve_is_the_picard_step_walk(self, n, dtype, tangent):
+        # the forward solve runs in halves from end to end; the public walk
+        # splits and merges on every step: the same bits either way
+        p, c = SystemParams(2.0, 0.5, 0.5), MatchingConstants(1.3, -0.7)
+        g = Grid.uniform(Domain(0.0, 1.5), n, dtype=dtype)
+        st, fv, jac = fixedpoint._endpoint_map(p, g, 4, np.array([c.beta, c.gamma]), tangent)
+        walk = initial_state(g, c)
+        for _ in range(4):
+            walk = picard_step(p, g, walk)
+        assert st.fields.phi.dtype == walk.fields.phi.dtype == dtype
+        assert np.array_equal(st.fields.phi, walk.fields.phi)
+        assert np.array_equal(st.fields.psi, walk.fields.psi)
+        assert st.diff_norms == walk.diff_norms and st.n == 4
+        assert fv.tolist() == [walk.fields.phi[-1], walk.fields.psi[-1]]
+        assert (jac is not None) == tangent
 
     @pytest.mark.parametrize("order", [1, 3, 6])
     def test_tangent_jacobian_matches_central_differences(self, order):
@@ -469,19 +501,26 @@ class TestSolvePicard:
 
     def test_sequenced_fine_work_is_pinned(self, monkeypatch):
         # order 3 on [0, 1] at n = 20001: the coarse match is the n = 2001
-        # match of test_match_returns_the_accepted_iterate, step for step,
+        # match of test_match_returns_the_accepted_iterate, solve for solve,
         # and the fine grid takes one plain solve and one line-search trial,
         # with no tangent pass: two _volterra calls per step
-        steps, volterra = Counter(), Counter()
-        step, vol = fixedpoint.picard_step, fixedpoint._volterra
-        monkeypatch.setattr(fixedpoint, "picard_step",
-                            lambda p, g, s: steps.update([g.n]) or step(p, g, s))
+        solves, volterra = Counter(), Counter()
+        endpoint_map, vol = fixedpoint._endpoint_map, fixedpoint._volterra
+
+        def counted(params, grid, order, v, tangent=False):
+            solves.update([(grid.n, order, tangent)])
+            return endpoint_map(params, grid, order, v, tangent)
+
+        monkeypatch.setattr(fixedpoint, "_endpoint_map", counted)
         monkeypatch.setattr(fixedpoint, "_volterra",
                             lambda f, *a: volterra.update([len(f)]) or vol(f, *a))
         st = solve_picard(P1, unit_grid(20001), CFG, 3)
-        assert steps[fixedpoint.COARSE_N] == 6 * 3
-        assert steps[20001] <= 2 * 3 and set(steps) == {fixedpoint.COARSE_N, 20001}
-        assert volterra[20001] == 2 * steps[20001]
+        coarse = fixedpoint.COARSE_N
+        assert solves[(coarse, 3, True)] == 1 and solves[(coarse, 3, False)] == 5
+        assert solves[(20001, 3, False)] <= 2
+        assert set(solves) == {(coarse, 3, True), (coarse, 3, False), (20001, 3, False)}
+        assert set(volterra) == {coarse, 20001}
+        assert volterra[20001] == 2 * 3 * solves[(20001, 3, False)]
         assert endpoint_residual(st) <= fixedpoint.NEWTON_TOL
 
     def test_bad_coarse_jacobian_falls_back_to_one_exact_fine_pass(self, monkeypatch):
