@@ -52,7 +52,8 @@ from .model import Domain, FieldPair, Grid, SystemParams, _require_finite, eval_
 NEWTON_MAX_ITER = 50
 NEWTON_TOL = 1e-11
 # Orders >= 2 on grids of more than 2 * COARSE_N - 1 nodes are matched on
-# COARSE_N nodes first and finished on the fine grid.
+# COARSE_N nodes first, moved by a Richardson estimate from one solve on
+# (COARSE_N + 1) // 2 nodes, and finished on the fine grid.
 COARSE_N = 2001
 
 
@@ -321,19 +322,29 @@ def _tangent_step(params: SystemParams, d, h: float, fields, dirs, units, buffer
             _lift(d, h, g2, db, b, scratch)
 
 
-def _line_search(params, grid, order, v, fv, jac, res):
-    """Halve the Newton step from v until the residual falls; None if it never does.
-
-    A trial whose iterate diverges counts as rejected.
-    """
+def _newton_step(jac, fv):
+    """The Newton step -jac^-1 fv, or None if jac is singular or the step is not finite."""
     try:
         delta = np.linalg.solve(jac, -fv)
     except np.linalg.LinAlgError:
         return None
-    if not np.isfinite(delta).all():
+    return delta if np.isfinite(delta).all() else None
+
+
+def _line_search(params, grid, order, v, fv, jac, res, exact):
+    """Halve the Newton step from v until the residual falls; None if it never does.
+
+    On an ``exact`` Jacobian the step is halved down to a length of 1e-8. On a
+    Broyden Jacobian only the lengths 1, 1/2 and 1/4 are tried: a shorter step
+    that lowers the residual a hair teaches the rank-1 update nothing, and a
+    failed search refreshes the exact Jacobian instead. A trial whose iterate
+    diverges counts as rejected.
+    """
+    delta = _newton_step(jac, fv)
+    if delta is None:
         return None
-    lam = 1.0
-    while lam > 1e-8:
+    lam, shortest = 1.0, 1e-8 if exact else 0.25
+    while lam >= shortest:
         trial = v + lam * delta
         try:
             st, ft, _ = _endpoint_map(params, grid, order, trial)
@@ -363,7 +374,7 @@ def _newton(params, grid, order, v, jac=None) -> tuple[PicardState, np.ndarray |
             break
         if jac is None:
             jac, exact = _endpoint_map(params, grid, order, v, tangent=True)[2], True
-        found = _line_search(params, grid, order, v, fv, jac, res)
+        found = _line_search(params, grid, order, v, fv, jac, res, exact)
         if found is None:
             if exact:
                 raise MatchingFailureError(res)
@@ -399,15 +410,20 @@ def solve_picard(
       of the endpoint map (`_endpoint_map`).
     * Each accepted line-search trial updates the Jacobian by Broyden's
       rank-1 formula, with no further solves.
-    * If the line search fails on a Broyden Jacobian, the exact Jacobian is
-      recomputed once at the current slopes and the search retried; it
-      fails with MatchingFailureError only on an exact Jacobian.
+    * The line search halves the step down to 1e-8 on an exact Jacobian,
+      and tries only 1, 1/2 and 1/4 on a Broyden one. If it fails on a
+      Broyden Jacobian, the exact Jacobian is recomputed once at the current
+      slopes and the search retried; it fails with MatchingFailureError
+      only on an exact Jacobian.
     * Orders >= 2 on a grid of more than 2 * COARSE_N - 1 nodes are matched
       first on COARSE_N nodes of the same domain, where the root differs
-      from the fine one only at Simpson's O(h^4) level. The same iteration
-      then finishes on ``grid`` from the coarse slopes, with one plain
-      forward solve and the coarse Jacobian taken as not exact: if its line
-      search fails, one exact fine-grid tangent pass replaces it.
+      from the fine one only at Simpson's O(h^4) level. One plain forward
+      solve at the coarse root on (COARSE_N + 1) // 2 nodes estimates that
+      difference by Richardson extrapolation, and one step with the coarse
+      Jacobian cancels it (`_richardson_start`). The same iteration then
+      finishes on ``grid`` from there, with one plain forward solve, most
+      often the only one, and the coarse Jacobian taken as not exact: if its
+      line search fails, one exact fine-grid tangent pass replaces it.
 
     A Picard solve reads nothing from ``cfg``, whose limits govern only the
     Green iteration. For the iterates of fixed slopes, walk
@@ -423,8 +439,31 @@ def solve_picard(
     if order > 1 and grid.n > 2 * COARSE_N - 1:
         coarse = Grid.uniform(grid.domain, COARSE_N, dtype=grid.nodes.dtype)
         state, jac = _newton(params, coarse, order, v)
-        v = np.array([state.constants.beta, state.constants.gamma])
+        v = _richardson_start(params, grid, order, state, jac)
     return _newton(params, grid, order, v, jac)[0]
+
+
+def _richardson_start(params, grid, order, coarse: PicardState, jac) -> np.ndarray:
+    """The fine Newton's start: the coarse root plus a step cancelling its estimated fine values.
+
+    Simpson's error in the endpoint values is C h^4. The coarse root's values
+    f_c, which are below NEWTON_TOL, and those of one plain forward solve at
+    the same slopes on (COARSE_N + 1) // 2 nodes, f_H, give C h_c^4 =
+    (f_H - f_c)/15, so the fine grid's values there are about
+    f_c + (f_c - f_H)/15 (1 - (h/h_c)^4). The coarse slopes are returned
+    unchanged if the half-grid solve diverges, or if ``jac`` is singular or
+    gives a step that is not finite.
+    """
+    v = np.array([coarse.constants.beta, coarse.constants.gamma])
+    half = Grid.uniform(grid.domain, (COARSE_N + 1) // 2, dtype=grid.nodes.dtype)
+    try:
+        f_half = _endpoint_map(params, half, order, v)[1]
+    except DivergenceError:
+        return v
+    f_c = np.array([coarse.fields.phi[-1], coarse.fields.psi[-1]])
+    ratio = (COARSE_N - 1) / (grid.n - 1)
+    delta = _newton_step(jac, f_c + (f_c - f_half) / 15.0 * (1.0 - ratio**4))
+    return v if delta is None else v + delta
 
 
 def green_kernel_iterate(

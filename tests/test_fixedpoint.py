@@ -482,6 +482,46 @@ class TestSolvePicard:
         assert math.copysign(1.0, st.constants.beta) == sign
         assert abs(abs(st.constants.beta) - b8) < abs(b8 - b7)
 
+    @staticmethod
+    def solves_on(monkeypatch, n, fail_half=False):
+        """Spy on `_endpoint_map`: the list of ``tangent`` flags of its n-node
+        calls, and with ``fail_half`` the half-grid solve raises DivergenceError."""
+        fine, endpoint_map = [], fixedpoint._endpoint_map
+
+        def spy(params, grid, order, v, tangent=False):
+            if fail_half and grid.n == (fixedpoint.COARSE_N + 1) // 2:
+                raise DivergenceError(1)
+            if grid.n == n:
+                fine.append(tangent)
+            return endpoint_map(params, grid, order, v, tangent)
+
+        monkeypatch.setattr(fixedpoint, "_endpoint_map", spy)
+        return fine
+
+    def test_hard_case_order4_cost_is_pinned(self, monkeypatch):
+        # a Broyden line search stops at a quarter step and refreshes the
+        # exact Jacobian rather than accept a long run of tiny steps, which
+        # teach the rank-1 update nothing: at most 22 solve-equivalents, a
+        # tangent pass counting as 3 (halving to 1e-8 took 100 here)
+        g = Grid.uniform(Domain(0.3, 3.3), 2001)
+        solves = self.solves_on(monkeypatch, g.n)
+        st = solve_picard(SystemParams(1.0, 1.0, 4.0), g, CFG, 4)
+        assert sum(3 if tangent else 1 for tangent in solves) <= 22
+        assert st.constants.beta == pytest.approx(self.HARD[4][0], rel=1e-8)
+
+    @pytest.mark.parametrize("exact, trials", [(False, 3), (True, 27)],
+                             ids=["broyden", "exact"])
+    def test_line_search_lengths(self, monkeypatch, exact, trials):
+        # an uphill step fails at every length: 1, 1/2 and 1/4 on a Broyden
+        # Jacobian, down to 2^-26 > 1e-8 on an exact one
+        g = unit_grid(201)
+        mc = match_constants_order1(P1, UNIT)
+        v = np.array([mc.beta, mc.gamma])
+        st, fv, jac = fixedpoint._endpoint_map(P1, g, 3, v, tangent=True)
+        solves = self.solves_on(monkeypatch, g.n)
+        found = fixedpoint._line_search(P1, g, 3, v, fv, -jac, endpoint_residual(st), exact)
+        assert found is None and solves == [False] * trials
+
     @pytest.mark.parametrize("order", [3, 6])
     @pytest.mark.parametrize("params, domain", [(P1, UNIT),
                                                 (SystemParams(1.0, 1.0, 4.0), Domain(0.3, 3.3))],
@@ -502,8 +542,10 @@ class TestSolvePicard:
     def test_sequenced_fine_work_is_pinned(self, monkeypatch):
         # order 3 on [0, 1] at n = 20001: the coarse match is the n = 2001
         # match of test_match_returns_the_accepted_iterate, solve for solve,
-        # and the fine grid takes one plain solve and one line-search trial,
-        # with no tangent pass: two _volterra calls per step
+        # one plain solve on the half grid gives the Richardson start, and the
+        # fine grid takes one plain solve, with no line search and no tangent
+        # pass: two _volterra calls per step on each grid, six more per step
+        # of the coarse tangent pass
         solves, volterra = Counter(), Counter()
         endpoint_map, vol = fixedpoint._endpoint_map, fixedpoint._volterra
 
@@ -516,12 +558,62 @@ class TestSolvePicard:
                             lambda f, *a: volterra.update([len(f)]) or vol(f, *a))
         st = solve_picard(P1, unit_grid(20001), CFG, 3)
         coarse = fixedpoint.COARSE_N
-        assert solves[(coarse, 3, True)] == 1 and solves[(coarse, 3, False)] == 5
-        assert solves[(20001, 3, False)] <= 2
-        assert set(solves) == {(coarse, 3, True), (coarse, 3, False), (20001, 3, False)}
-        assert set(volterra) == {coarse, 20001}
-        assert volterra[20001] == 2 * 3 * solves[(20001, 3, False)]
+        half = (coarse + 1) // 2
+        assert half == 1001
+        assert solves == Counter({(coarse, 3, True): 1, (coarse, 3, False): 5,
+                                  (half, 3, False): 1, (20001, 3, False): 1})
+        assert volterra == Counter({coarse: 18 + 5 * 6, half: 6, 20001: 6})
         assert endpoint_residual(st) <= fixedpoint.NEWTON_TOL
+
+    @pytest.mark.parametrize("n", [4002, 20001])
+    @pytest.mark.parametrize("order", [3, 6, 12])
+    def test_sequenced_match_takes_one_fine_solve(self, monkeypatch, order, n):
+        # the Richardson start meets the tolerance on the fine grid at once,
+        # also on an even grid, whose Simpson rule ends in a 3/8 segment
+        fine = self.solves_on(monkeypatch, n)
+        st = solve_picard(P1, unit_grid(n), CFG, order)
+        assert fine == [False]
+        assert st.n == order and st.fields.phi.shape == (n,)
+        assert endpoint_residual(st) <= fixedpoint.NEWTON_TOL
+
+    def test_diverging_half_grid_solve_starts_from_the_coarse_slopes(self, monkeypatch):
+        # without the half grid's values the fine Newton starts from the coarse
+        # root: one plain solve and one line-search trial, landing on the
+        # root of the direct fine match
+        g = unit_grid(20001)
+        mc = match_constants_order1(P1, UNIT)
+        direct, _ = fixedpoint._newton(P1, g, 3, np.array([mc.beta, mc.gamma]))
+        fine = self.solves_on(monkeypatch, g.n, fail_half=True)
+        st = solve_picard(P1, g, CFG, 3)
+        assert fine == [False, False]
+        assert endpoint_residual(st) <= fixedpoint.NEWTON_TOL
+        assert st.constants.beta == pytest.approx(direct.constants.beta, rel=1e-9)
+        assert st.constants.gamma == pytest.approx(direct.constants.gamma, rel=1e-9)
+
+    @pytest.mark.parametrize("n", [4002, 20001])
+    def test_richardson_estimate_predicts_the_fine_values(self, n):
+        # at the coarse root of the hard case, order 3, the fine endpoint
+        # values are about 1.5e-9 and 8e-10 while the coarse ones are below
+        # 1e-13; the step -jac^-1 f_hat gives back the estimate f_hat, which
+        # is within 3 % of each
+        p, domain = SystemParams(1.0, 1.0, 4.0), Domain(0.3, 3.3)
+        mc = match_constants_order1(p, domain)
+        state, jac = fixedpoint._newton(p, Grid.uniform(domain, fixedpoint.COARSE_N), 3,
+                                        np.array([mc.beta, mc.gamma]))
+        g = Grid.uniform(domain, n)
+        v = np.array([state.constants.beta, state.constants.gamma])
+        estimate = jac @ (v - fixedpoint._richardson_start(p, g, 3, state, jac))
+        fine = fixedpoint._endpoint_map(p, g, 3, v)[1]
+        assert np.all(np.abs(fine) > 5e-10)
+        assert np.all(np.abs(estimate - fine) <= 0.03 * np.abs(fine))
+
+    @pytest.mark.parametrize("bad", [0.0, np.nan], ids=["singular", "nan"])
+    def test_unusable_coarse_jacobian_keeps_the_coarse_slopes(self, bad):
+        mc = match_constants_order1(P1, UNIT)
+        state, _ = fixedpoint._newton(P1, unit_grid(fixedpoint.COARSE_N), 3,
+                                      np.array([mc.beta, mc.gamma]))
+        v = fixedpoint._richardson_start(P1, unit_grid(20001), 3, state, np.full((2, 2), bad))
+        assert v.tolist() == [state.constants.beta, state.constants.gamma]
 
     def test_bad_coarse_jacobian_falls_back_to_one_exact_fine_pass(self, monkeypatch):
         # a coarse Jacobian of the wrong sign sends the fine line search uphill
