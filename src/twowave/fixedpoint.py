@@ -18,7 +18,11 @@ so the running integrals read and write contiguous halves; node n - 1 (l2)
 sits at `quadrature.l2_index(n)`. A Picard forward solve (`_forward_solve`)
 starts in halves, or splits the state `picard_step` is given, sweeps in buffers
 allocated once and merges its last iterate once; `green_kernel_iterate` splits
-its start and merges its result once.
+its start and merges its result once. The solves of a sequenced match's coarse
+phase, on COARSE_N and (COARSE_N + 1) // 2 nodes, are never returned and keep
+no record: they give only their endpoint values and the Jacobian, compute no
+update norms, merge nothing, and read divergence once, from non-finite values
+at l2.
 
 * Picard successive approximation on the Volterra form u = slope*d + V(f(u)),
   the textbook double integral, with the unknown left-end slopes
@@ -128,8 +132,16 @@ def _lift(d, h: float, g, slope, out, scratch) -> np.ndarray:
     return np.add(out, np.multiply(d, slope, out=scratch), out=out)
 
 
+def _sup_norm(x: np.ndarray) -> float:
+    """max |x| as a float, read from x's extremes without writing |x|; NaN if x holds one.
+
+    An all-zero x gives +0.0, whatever the signs of its zeros.
+    """
+    return abs(max(float(x.max()), -float(x.min())))
+
+
 def _sweep(params: SystemParams, d, h: float, fields, slopes: tuple, work, out,
-           step: int) -> list[float]:
+           step: int | None) -> list[float] | None:
     """Apply u <- slope*d + V(f(u)) to the pair ``fields`` once: one `_lift` of each f(u).
 
     ``slopes`` holds the left-end slopes of (phi, psi), None as in `_lift`.
@@ -138,15 +150,17 @@ def _sweep(params: SystemParams, d, h: float, fields, slopes: tuple, work, out,
     fields, and share no memory with them. Returns the sup norms of the two
     updates. The old fields are finite, so a norm is finite exactly when its
     new field is, unless the update itself overflows: a norm that is not
-    finite raises DivergenceError(step).
+    finite raises DivergenceError(step). A ``step`` of None computes no norms
+    and returns None.
     """
     phi, psi = fields
     g, scratch = work
     with np.errstate(over="ignore", invalid="ignore"):
         _lift(d, h, eval_f1(params, phi, psi, out=g), slopes[0], out[0], scratch)
         _lift(d, h, eval_f2(params, phi, psi, out=g, scratch=scratch), slopes[1], out[1], scratch)
-        norms = [float(np.max(np.abs(np.subtract(u, old, out=scratch), out=scratch)))
-                 for u, old in zip(out, fields)]
+        if step is None:
+            return None
+        norms = [_sup_norm(np.subtract(u, old, out=scratch)) for u, old in zip(out, fields)]
     if not all(map(math.isfinite, norms)):
         raise DivergenceError(step)
     return norms
@@ -165,7 +179,8 @@ def picard_step(params: SystemParams, grid: Grid, state: PicardState) -> PicardS
 
 
 def _forward_solve(params: SystemParams, grid: Grid, c: MatchingConstants, order: int,
-                   start: PicardState | None = None, tangent: bool = False):
+                   start: PicardState | None = None, tangent: bool = False,
+                   record: bool = True):
     """``order`` Picard sweeps with slopes ``c``, in even–odd order from end to end.
 
     The walk starts from ``start``, or from iterate 0, (beta d, gamma d), when it
@@ -177,6 +192,10 @@ def _forward_solve(params: SystemParams, grid: Grid, c: MatchingConstants, order
     scratch, allocated first as in `green_kernel_iterate`, and two field pairs
     written in turn. Sweep k reads pairs[k % 2], and the last iterate is merged
     once into the other pair, which the returned state holds.
+
+    Without ``record`` the sweeps compute no update norms
+    and nothing is merged: the state returned is None, and a diverging walk
+    runs to the end on non-finite values instead of raising.
     """
     d = quadrature.split(_anchored(grid))
     like = d if start is None else start.fields.phi
@@ -199,9 +218,13 @@ def _forward_solve(params: SystemParams, grid: Grid, c: MatchingConstants, order
         old, new = pairs[k % 2], pairs[(k + 1) % 2]
         if tangent:
             _tangent_step(params, d, grid.h, old, dirs, units, buffers)
-        norms.append(max(_sweep(params, d, grid.h, old, (c.beta, c.gamma), work, new,
-                                len(norms) + 1)))
+        swept = _sweep(params, d, grid.h, old, (c.beta, c.gamma), work, new,
+                       len(norms) + 1 if record else None)
+        if swept is not None:
+            norms.append(max(swept))
     last, spare = pairs[order % 2], pairs[(order + 1) % 2]
+    if not record:
+        return None, last, dirs
     fields = FieldPair(*(quadrature.merge(u, out=b) for u, b in zip(last, spare)))
     return PicardState(fields, c, tuple(norms)), last, dirs
 
@@ -272,11 +295,16 @@ def _order1_slopes(params: SystemParams, L: float, beta_sign: float) -> Matching
 
 def endpoint_residual(state: PicardState) -> float:
     """|phi(l2)| + |psi(l2)| of the current iterate."""
-    return abs(float(state.fields.phi[-1])) + abs(float(state.fields.psi[-1]))
+    return _residual((state.fields.phi[-1], state.fields.psi[-1]))
 
 
-def _endpoint_map(params: SystemParams, grid: Grid, order: int, v,
-                  tangent: bool = False) -> tuple[PicardState, np.ndarray, np.ndarray | None]:
+def _residual(fv) -> float:
+    """|phi(l2)| + |psi(l2)| from the endpoint values fv = (phi(l2), psi(l2))."""
+    return abs(float(fv[0])) + abs(float(fv[1]))
+
+
+def _endpoint_map(params: SystemParams, grid: Grid, order: int, v, tangent: bool = False,
+                  record: bool = True) -> tuple[PicardState | None, np.ndarray, np.ndarray | None]:
     """One forward solve: the order-th iterate from slopes v = (beta, gamma) and its values at l2.
 
     With ``tangent`` the same pass also returns the exact Jacobian of those
@@ -285,11 +313,20 @@ def _endpoint_map(params: SystemParams, grid: Grid, order: int, v,
     du <- dslope*d + V(df(u) du), with df1 = ((1 - psi) dphi - phi dpsi)/r
     and df2 = (alpha dpsi - phi dphi)/s. That is two more `_volterra` calls
     per field: a tangent pass costs three forward solves.
+
+    Without ``record`` the iterate is not returned (None in its place) and
+    divergence is read once, from the endpoint values: a non-finite value
+    anywhere in an iterate runs through both running integrals of every
+    later sweep to node n - 1, so non-finite values at l2 raise
+    DivergenceError(order). A recorded solve raises at its first non-finite
+    update norm, before it gets here.
     """
     st, last, dirs = _forward_solve(params, grid, MatchingConstants(v[0], v[1]), order,
-                                    tangent=tangent)
+                                    tangent=tangent, record=record)
     end = quadrature.l2_index(grid.n)
     fv = np.array([last[0][end], last[1][end]])
+    if not np.isfinite(fv).all():
+        raise DivergenceError(order)
     if not tangent:
         return st, fv, None
     jac = np.array([[dirs[0][0][end], dirs[1][0][end]],
@@ -331,14 +368,15 @@ def _newton_step(jac, fv):
     return delta if np.isfinite(delta).all() else None
 
 
-def _line_search(params, grid, order, v, fv, jac, res, exact):
+def _line_search(params, grid, order, v, fv, jac, res, exact, record=True):
     """Halve the Newton step from v until the residual falls; None if it never does.
 
     On an ``exact`` Jacobian the step is halved down to a length of 1e-8. On a
     Broyden Jacobian only the lengths 1, 1/2 and 1/4 are tried: a shorter step
     that lowers the residual a hair teaches the rank-1 update nothing, and a
     failed search refreshes the exact Jacobian instead. A trial whose iterate
-    diverges counts as rejected.
+    diverges counts as rejected. Returns the accepted slopes, their iterate
+    (None without ``record``, see `_endpoint_map`), endpoint values and residual.
     """
     delta = _newton_step(jac, fv)
     if delta is None:
@@ -347,34 +385,38 @@ def _line_search(params, grid, order, v, fv, jac, res, exact):
     while lam >= shortest:
         trial = v + lam * delta
         try:
-            st, ft, _ = _endpoint_map(params, grid, order, trial)
+            st, ft, _ = _endpoint_map(params, grid, order, trial, record=record)
         except DivergenceError:
             pass
         else:
-            rt = endpoint_residual(st)
+            rt = _residual(ft)
             if rt < res:
                 return trial, st, ft, rt
         lam *= 0.5
     return None
 
 
-def _newton(params, grid, order, v, jac=None) -> tuple[PicardState, np.ndarray | None]:
+def _newton(params, grid, order, v, jac=None, record=True):
     """Newton-match the slopes from v: the accepted order-th iterate and the last Jacobian.
 
     Without ``jac`` the first forward solve of orders >= 2 is a tangent pass,
     which also gives the exact Jacobian; a given ``jac`` is used as is, with
-    one plain forward solve, and is not taken as exact.
+    one plain forward solve, and is not taken as exact. Without ``record`` no
+    iterate is kept (see `_endpoint_map`), and the accepted slopes, their
+    endpoint values and the last Jacobian are returned instead. A refreshed
+    Jacobian's pass never records: its iterate is one already computed.
     """
     exact = jac is None and order > 1
-    state, fv, tangent_jac = _endpoint_map(params, grid, order, v, tangent=exact)
+    state, fv, tangent_jac = _endpoint_map(params, grid, order, v, tangent=exact, record=record)
     jac = tangent_jac if exact else jac
-    res = endpoint_residual(state)
+    res = _residual(fv)
     for _ in range(NEWTON_MAX_ITER):
         if res <= NEWTON_TOL:
             break
         if jac is None:
-            jac, exact = _endpoint_map(params, grid, order, v, tangent=True)[2], True
-        found = _line_search(params, grid, order, v, fv, jac, res, exact)
+            jac = _endpoint_map(params, grid, order, v, tangent=True, record=False)[2]
+            exact = True
+        found = _line_search(params, grid, order, v, fv, jac, res, exact, record)
         if found is None:
             if exact:
                 raise MatchingFailureError(res)
@@ -387,7 +429,7 @@ def _newton(params, grid, order, v, jac=None) -> tuple[PicardState, np.ndarray |
         v, fv = trial, ft
     if res > NEWTON_TOL:
         raise MatchingFailureError(res)
-    return state, jac
+    return (state, jac) if record else (v, fv, jac)
 
 
 def solve_picard(
@@ -424,6 +466,12 @@ def solve_picard(
       finishes on ``grid`` from there, with one plain forward solve, most
       often the only one, and the coarse Jacobian taken as not exact: if its
       line search fails, one exact fine-grid tangent pass replaces it.
+    * The coarse and half-grid solves return only their endpoint values and
+      the Jacobian, never an iterate: they compute no update norms and
+      merge nothing. Divergence there is a non-finite endpoint value, raised
+      as DivergenceError with the order as its step; a coarse trial whose
+      iterates stay finite while an update overflows is rejected by its
+      residual.
 
     A Picard solve reads nothing from ``cfg``, whose limits govern only the
     Green iteration. For the iterates of fixed slopes, walk
@@ -438,32 +486,31 @@ def solve_picard(
     v, jac = np.array([start.beta, start.gamma]), None
     if order > 1 and grid.n > 2 * COARSE_N - 1:
         coarse = Grid.uniform(grid.domain, COARSE_N, dtype=grid.nodes.dtype)
-        state, jac = _newton(params, coarse, order, v)
-        v = _richardson_start(params, grid, order, state, jac)
+        v_c, f_c, jac = _newton(params, coarse, order, v, record=False)
+        v = _richardson_start(params, grid, order, v_c, f_c, jac)
     return _newton(params, grid, order, v, jac)[0]
 
 
-def _richardson_start(params, grid, order, coarse: PicardState, jac) -> np.ndarray:
+def _richardson_start(params, grid, order, v_c, f_c, jac) -> np.ndarray:
     """The fine Newton's start: the coarse root plus a step cancelling its estimated fine values.
 
-    Simpson's error in the endpoint values is C h^4. The coarse root's values
-    f_c, which are below NEWTON_TOL, and those of one plain forward solve at
-    the same slopes on (COARSE_N + 1) // 2 nodes, f_H, give C h_c^4 =
-    (f_H - f_c)/15, so the fine grid's values there are about
-    f_c + (f_c - f_H)/15 (1 - (h/h_c)^4). The coarse slopes are returned
-    unchanged if the half-grid solve diverges, or if ``jac`` is singular or
+    Simpson's error in the endpoint values is C h^4. The coarse root v_c's
+    values f_c, which are below NEWTON_TOL, and those of one plain forward
+    solve at the same slopes on (COARSE_N + 1) // 2 nodes, f_H, give
+    C h_c^4 = (f_H - f_c)/15, so the fine grid's values there are about
+    f_c + (f_c - f_H)/15 (1 - (h/h_c)^4). The half-grid solve keeps no
+    iterate (`_endpoint_map` without its record). The coarse slopes are
+    returned unchanged if that solve diverges, or if ``jac`` is singular or
     gives a step that is not finite.
     """
-    v = np.array([coarse.constants.beta, coarse.constants.gamma])
     half = Grid.uniform(grid.domain, (COARSE_N + 1) // 2, dtype=grid.nodes.dtype)
     try:
-        f_half = _endpoint_map(params, half, order, v)[1]
+        f_half = _endpoint_map(params, half, order, v_c, record=False)[1]
     except DivergenceError:
-        return v
-    f_c = np.array([coarse.fields.phi[-1], coarse.fields.psi[-1]])
+        return v_c
     ratio = (COARSE_N - 1) / (grid.n - 1)
     delta = _newton_step(jac, f_c + (f_c - f_half) / 15.0 * (1.0 - ratio**4))
-    return v if delta is None else v + delta
+    return v_c if delta is None else v_c + delta
 
 
 def green_kernel_iterate(

@@ -110,7 +110,7 @@ def _running(ye, yo, h, oe, oo) -> None:
         np.add(ye[:-1], even, out=even)
         np.add(even, ye[1:], out=even)
         np.multiply(even, h / 3.0, out=even)
-        np.cumsum(even, out=even)
+        np.add.accumulate(even, out=even)
     # First node: integrate the cubic through the first four samples over [0, h].
     if n >= 4:
         oo[0] = h * (9.0 * ye[0] + 19.0 * yo[0] - 5.0 * ye[1] + yo[1]) / 24.0

@@ -172,6 +172,15 @@ class TestSolveCommand:
         assert capsys.readouterr().err.startswith("error: boundary matching failed")
         assert not out.exists()
 
+    def test_diverging_coarse_phase_exits_3(self, tmp_path, capsys):
+        # more than 4001 nodes: the match starts on the coarse grid, which
+        # keeps no iterate and reports the divergence at the order
+        out = tmp_path / "s.csv"
+        assert run_cli("solve", "--l1", 0, "--l2", 10, "--n", 4003, "--picard-order", 16,
+                       "--out", out) == 3
+        assert "non-finite values at step 16" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_stdout_gets_profile_and_stderr_gets_meta(self, capsys):
         assert run_cli("solve", "--l1", 0, "--l2", 1, "--n", 5, "--out", "-") == 0
         captured = capsys.readouterr()

@@ -4,7 +4,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from twowave import fixedpoint, quadrature
 from twowave import (
@@ -234,6 +235,23 @@ class TestPicardStep:
             picard_step(P1, g, st1)
         assert err.value.iteration == 2
 
+    @given(arrays(np.float64, st.integers(1, 50),
+                  elements=st.floats(allow_nan=False, width=64)))
+    @example(np.array([-0.0, -0.0]))
+    @example(np.array([-0.0, 0.0]))
+    @example(np.array([-np.inf, 1.0]))
+    def test_sup_norm_is_the_largest_magnitude(self, x):
+        # read from the extremes, without writing |x|: the same float,
+        # +0.0 on an all-zero x whatever the signs of its zeros, inf on an inf
+        norm = fixedpoint._sup_norm(x)
+        assert norm == float(np.max(np.abs(x)))
+        assert math.copysign(1.0, norm) == 1.0
+
+    @given(arrays(np.float64, st.integers(1, 50)), st.data())
+    def test_sup_norm_of_a_nan_is_not_finite(self, x, data):
+        x[data.draw(st.integers(0, x.size - 1))] = np.nan
+        assert not math.isfinite(fixedpoint._sup_norm(x))
+
 
 class TestConvergenceBound:
     def test_formula_values(self):
@@ -319,8 +337,9 @@ class TestSolvePicard:
         solves = []
         endpoint_map = fixedpoint._endpoint_map
 
-        def counted(params, grid, order, v, tangent=False):
-            solves.append((grid.n, order, tangent, endpoint_map(params, grid, order, v, tangent)))
+        def counted(params, grid, order, v, tangent=False, record=True):
+            solves.append((grid.n, order, tangent,
+                           endpoint_map(params, grid, order, v, tangent, record)))
             return solves[-1][3]
 
         monkeypatch.setattr(fixedpoint, "_endpoint_map", counted)
@@ -359,8 +378,8 @@ class TestSolvePicard:
         # Jacobian at the start's residual
         endpoint_map = fixedpoint._endpoint_map
 
-        def bad_tangent(params, grid, order, v, tangent=False):
-            st, fv, jac = endpoint_map(params, grid, order, v, tangent)
+        def bad_tangent(params, grid, order, v, tangent=False, record=True):
+            st, fv, jac = endpoint_map(params, grid, order, v, tangent, record)
             return st, fv, None if jac is None else np.full((2, 2), bad)
 
         monkeypatch.setattr(fixedpoint, "_endpoint_map", bad_tangent)
@@ -488,12 +507,12 @@ class TestSolvePicard:
         calls, and with ``fail_half`` the half-grid solve raises DivergenceError."""
         fine, endpoint_map = [], fixedpoint._endpoint_map
 
-        def spy(params, grid, order, v, tangent=False):
+        def spy(params, grid, order, v, tangent=False, record=True):
             if fail_half and grid.n == (fixedpoint.COARSE_N + 1) // 2:
                 raise DivergenceError(1)
             if grid.n == n:
                 fine.append(tangent)
-            return endpoint_map(params, grid, order, v, tangent)
+            return endpoint_map(params, grid, order, v, tangent, record)
 
         monkeypatch.setattr(fixedpoint, "_endpoint_map", spy)
         return fine
@@ -549,9 +568,9 @@ class TestSolvePicard:
         solves, volterra = Counter(), Counter()
         endpoint_map, vol = fixedpoint._endpoint_map, fixedpoint._volterra
 
-        def counted(params, grid, order, v, tangent=False):
+        def counted(params, grid, order, v, tangent=False, record=True):
             solves.update([(grid.n, order, tangent)])
-            return endpoint_map(params, grid, order, v, tangent)
+            return endpoint_map(params, grid, order, v, tangent, record)
 
         monkeypatch.setattr(fixedpoint, "_endpoint_map", counted)
         monkeypatch.setattr(fixedpoint, "_volterra",
@@ -602,7 +621,8 @@ class TestSolvePicard:
                                         np.array([mc.beta, mc.gamma]))
         g = Grid.uniform(domain, n)
         v = np.array([state.constants.beta, state.constants.gamma])
-        estimate = jac @ (v - fixedpoint._richardson_start(p, g, 3, state, jac))
+        f_c = np.array([state.fields.phi[-1], state.fields.psi[-1]])
+        estimate = jac @ (v - fixedpoint._richardson_start(p, g, 3, v, f_c, jac))
         fine = fixedpoint._endpoint_map(p, g, 3, v)[1]
         assert np.all(np.abs(fine) > 5e-10)
         assert np.all(np.abs(estimate - fine) <= 0.03 * np.abs(fine))
@@ -612,7 +632,9 @@ class TestSolvePicard:
         mc = match_constants_order1(P1, UNIT)
         state, _ = fixedpoint._newton(P1, unit_grid(fixedpoint.COARSE_N), 3,
                                       np.array([mc.beta, mc.gamma]))
-        v = fixedpoint._richardson_start(P1, unit_grid(20001), 3, state, np.full((2, 2), bad))
+        v_c = np.array([state.constants.beta, state.constants.gamma])
+        f_c = np.array([state.fields.phi[-1], state.fields.psi[-1]])
+        v = fixedpoint._richardson_start(P1, unit_grid(20001), 3, v_c, f_c, np.full((2, 2), bad))
         assert v.tolist() == [state.constants.beta, state.constants.gamma]
 
     def test_bad_coarse_jacobian_falls_back_to_one_exact_fine_pass(self, monkeypatch):
@@ -622,13 +644,13 @@ class TestSolvePicard:
         newton, endpoint_map = fixedpoint._newton, fixedpoint._endpoint_map
         tangents = []
 
-        def bad_coarse(params, grid, order, v, jac=None):
-            state, jac = newton(params, grid, order, v, jac)
-            return state, -jac if grid.n == fixedpoint.COARSE_N else jac
+        def bad_coarse(params, grid, order, v, jac=None, record=True):
+            *found, jac = newton(params, grid, order, v, jac, record)
+            return (*found, -jac if grid.n == fixedpoint.COARSE_N else jac)
 
-        def counted(params, grid, order, v, tangent=False):
+        def counted(params, grid, order, v, tangent=False, record=True):
             tangents.append((grid.n, tangent))
-            return endpoint_map(params, grid, order, v, tangent)
+            return endpoint_map(params, grid, order, v, tangent, record)
 
         monkeypatch.setattr(fixedpoint, "_newton", bad_coarse)
         monkeypatch.setattr(fixedpoint, "_endpoint_map", counted)
@@ -637,6 +659,58 @@ class TestSolvePicard:
         assert tangents.count((20001, True)) == 1
         assert st.constants.beta == pytest.approx(ref.constants.beta, rel=1e-9)
         assert st.constants.gamma == pytest.approx(ref.constants.gamma, rel=1e-9)
+
+    @pytest.mark.parametrize("order", [3, 6])
+    @pytest.mark.parametrize("params, domain", [(P1, UNIT),
+                                                (SystemParams(1.0, 1.0, 4.0), Domain(0.3, 3.3))],
+                             ids=["unit", "hard"])
+    def test_record_free_match_is_the_recorded_one(self, monkeypatch, params, domain, order):
+        # the coarse phase keeps no iterate, but its slopes, endpoint values
+        # and Jacobian are the recorded match's bit for bit, from the same
+        # forward solves, none of them merged back to node order
+        g = Grid.uniform(domain, fixedpoint.COARSE_N)
+        mc = match_constants_order1(params, domain)
+        v = np.array([mc.beta, mc.gamma])
+        calls, merges = [], []
+        endpoint_map, merge = fixedpoint._endpoint_map, quadrature.merge
+
+        def spy(params, grid, order, v, tangent=False, record=True):
+            calls.append((record, tangent))
+            return endpoint_map(params, grid, order, v, tangent, record)
+
+        monkeypatch.setattr(fixedpoint, "_endpoint_map", spy)
+        monkeypatch.setattr(quadrature, "merge", lambda *a, **k: merges.append(1) or merge(*a, **k))
+        state, jac = fixedpoint._newton(params, g, order, v)
+        recorded = [tangent for _, tangent in calls]
+        calls.clear()
+        merges.clear()
+        v_c, f_c, jac_c = fixedpoint._newton(params, g, order, v, record=False)
+        assert [tangent for _, tangent in calls] == recorded and len(recorded) > 1
+        assert not any(record for record, _ in calls) and merges == []
+        assert v_c.tolist() == [state.constants.beta, state.constants.gamma]
+        assert f_c.tolist() == [state.fields.phi[-1], state.fields.psi[-1]]
+        assert jac_c.tolist() == jac.tolist()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("tangent", [False, True], ids=["plain", "tangent"])
+    def test_record_free_divergence_is_read_at_the_endpoint(self, tangent):
+        # the iterate overflows in its first sweep; without a record the solve
+        # runs to the end on non-finite values and raises with its order
+        with pytest.raises(DivergenceError) as err:
+            fixedpoint._endpoint_map(P1, unit_grid(2001), 3, np.array([1e160, 1e160]),
+                                     tangent=tangent, record=False)
+        assert err.value.iteration == 3
+
+    @pytest.mark.filterwarnings("error")
+    def test_diverging_coarse_phase_raises_with_the_order(self):
+        # on [0, 10] the order-16 iterate from the printed start overflows at
+        # step 10; the coarse phase reads that from its endpoint values
+        with pytest.raises(DivergenceError) as err:
+            solve_picard(P1, Grid.uniform(Domain(0.0, 10.0), 4001), CFG, 16)
+        assert err.value.iteration == 10
+        with pytest.raises(DivergenceError) as err:
+            solve_picard(P1, Grid.uniform(Domain(0.0, 10.0), 4003), CFG, 16)
+        assert err.value.iteration == 16
 
     @pytest.mark.parametrize("order", [1, 3])
     def test_translation_invariance(self, order):
