@@ -15,14 +15,15 @@ divergence, and a Picard state's order is the number of norms it holds.
 
 Every array a sweep or a lift touches is in even–odd order (`quadrature.split`),
 so the running integrals read and write contiguous halves; node n - 1 (l2)
-sits at `quadrature.l2_index(n)`. A Picard forward solve (`_forward_solve`)
-starts in halves, or splits the state `picard_step` is given, sweeps in buffers
-allocated once and merges its last iterate once; `green_kernel_iterate` splits
-its start and merges its result once. The solves of a sequenced match's coarse
-phase, on COARSE_N and (COARSE_N + 1) // 2 nodes, are never returned and keep
-no record: they give only their endpoint values and the Jacobian, compute no
-update norms, merge nothing, and read divergence once, from non-finite values
-at l2.
+sits at `quadrature.l2_index(n)`. `_endpoint_map` is the one Picard forward
+solve: `picard_step`, every Newton trial, tangent pass and Jacobian refresh,
+and the Richardson half-grid solve run through it. It starts in halves, or
+splits the state `picard_step` is given, sweeps in buffers allocated once
+(`_sweep_buffers`, shared with `green_kernel_iterate`) and merges its last
+iterate once. The solves of a sequenced match's coarse phase, on COARSE_N and
+(COARSE_N + 1) // 2 nodes, are never returned and keep no record: they give
+only their endpoint values and the Jacobian, compute no update norms, merge
+nothing, and read divergence once, from non-finite values at l2.
 
 * Picard successive approximation on the Volterra form u = slope*d + V(f(u)),
   the textbook double integral, with the unknown left-end slopes
@@ -49,7 +50,8 @@ from .errors import (
     NoRealSolutionError,
     NotConvergedError,
 )
-from .model import Domain, FieldPair, Grid, SystemParams, _require_finite, eval_f1, eval_f2
+from .model import (Domain, FieldPair, Grid, SystemParams, _require_finite, _sup_norm,
+                    eval_f1, eval_f2)
 
 
 # Newton matching succeeds once |phi(l2)| + |psi(l2)| <= NEWTON_TOL.
@@ -114,9 +116,21 @@ def _volterra(f: np.ndarray, h: float, c1: np.ndarray, out: np.ndarray) -> np.nd
     return quadrature.cumulative(first, h, out, halves=True)
 
 
-def _empty(like: np.ndarray, k: int) -> list[np.ndarray]:
-    """k uninitialised arrays of like's shape and dtype."""
-    return [np.empty_like(like) for _ in range(k)]
+def _sweep_buffers(d: np.ndarray, start: FieldPair | None):
+    """The six arrays every sweep of a solve runs in: a work pair, then two field pairs.
+
+    They are uninitialised, in even–odd order, like ``start`` or else d.
+    Sweep k reads pairs[k % 2] and writes the other, never ``start``, whose
+    node-order fields are split into pairs[0]. That order, work first and the
+    start in pairs[0], keeps page faults down: starting in pairs[1] instead
+    doubled green-sweep's faults per call (`mem.minflt`).
+    """
+    like = d if start is None else start.phi
+    work, *pairs = [[np.empty_like(like), np.empty_like(like)] for _ in range(3)]
+    if start is not None:
+        for u, half in zip((start.phi, start.psi), pairs[0]):
+            quadrature.split(u, out=half)
+    return work, pairs
 
 
 def _lift(d, h: float, g, slope, out, scratch) -> np.ndarray:
@@ -130,14 +144,6 @@ def _lift(d, h: float, g, slope, out, scratch) -> np.ndarray:
         end = quadrature.l2_index(d.size)
         slope = -out[end] / d[end]
     return np.add(out, np.multiply(d, slope, out=scratch), out=out)
-
-
-def _sup_norm(x: np.ndarray) -> float:
-    """max |x| as a float, read from x's extremes without writing |x|; NaN if x holds one.
-
-    An all-zero x gives +0.0, whatever the signs of its zeros.
-    """
-    return abs(max(float(x.max()), -float(x.min())))
 
 
 def _sweep(params: SystemParams, d, h: float, fields, slopes: tuple, work, out,
@@ -175,58 +181,8 @@ def initial_state(grid: Grid, consts: MatchingConstants) -> PicardState:
 def picard_step(params: SystemParams, grid: Grid, state: PicardState) -> PicardState:
     """Advance the Picard recursion by one iterate, with the state's slopes held fixed."""
     grid.check_samples(state.fields.phi)
-    return _forward_solve(params, grid, state.constants, 1, state)[0]
-
-
-def _forward_solve(params: SystemParams, grid: Grid, c: MatchingConstants, order: int,
-                   start: PicardState | None = None, tangent: bool = False,
-                   record: bool = True):
-    """``order`` Picard sweeps with slopes ``c``, in even–odd order from end to end.
-
-    The walk starts from ``start``, or from iterate 0, (beta d, gamma d), when it
-    is None. Returns the last iterate as a `PicardState` in node order, the same
-    iterate in even–odd order, and with ``tangent`` the two unit slope
-    directions advanced alongside it (see `_endpoint_map`), else None.
-
-    Every sweep runs in buffers allocated once: the sweep's integrand and
-    scratch, allocated first as in `green_kernel_iterate`, and two field pairs
-    written in turn. Sweep k reads pairs[k % 2], and the last iterate is merged
-    once into the other pair, which the returned state holds.
-
-    Without ``record`` the sweeps compute no update norms
-    and nothing is merged: the state returned is None, and a diverging walk
-    runs to the end on non-finite values instead of raising.
-    """
-    d = quadrature.split(_anchored(grid))
-    like = d if start is None else start.fields.phi
-    work = _empty(like, 2)
-    pairs = (_empty(like, 2), _empty(like, 2))
-    if start is None:
-        np.multiply(d, c.beta, out=pairs[0][0])
-        np.multiply(d, c.gamma, out=pairs[0][1])
-        norms = []
-    else:
-        for u, half in zip((start.fields.phi, start.fields.psi), pairs[0]):
-            quadrature.split(u, out=half)
-        norms = list(start.diff_norms)
-    dirs = None
-    if tangent:
-        units = ((1.0, 0.0), (0.0, 1.0))
-        dirs = [(a * d, b * d) for a, b in units]  # iterate 0 of (dphi, dpsi)
-        buffers = (work[0], np.empty_like(d), work[1])
-    for k in range(order):
-        old, new = pairs[k % 2], pairs[(k + 1) % 2]
-        if tangent:
-            _tangent_step(params, d, grid.h, old, dirs, units, buffers)
-        swept = _sweep(params, d, grid.h, old, (c.beta, c.gamma), work, new,
-                       len(norms) + 1 if record else None)
-        if swept is not None:
-            norms.append(max(swept))
-    last, spare = pairs[order % 2], pairs[(order + 1) % 2]
-    if not record:
-        return None, last, dirs
-    fields = FieldPair(*(quadrature.merge(u, out=b) for u, b in zip(last, spare)))
-    return PicardState(fields, c, tuple(norms)), last, dirs
+    c = state.constants
+    return _endpoint_map(params, grid, 1, (c.beta, c.gamma), start=state)[0]
 
 
 def first_iterate(
@@ -304,34 +260,59 @@ def _residual(fv) -> float:
 
 
 def _endpoint_map(params: SystemParams, grid: Grid, order: int, v, tangent: bool = False,
-                  record: bool = True) -> tuple[PicardState | None, np.ndarray, np.ndarray | None]:
-    """One forward solve: the order-th iterate from slopes v = (beta, gamma) and its values at l2.
+                  record: bool = True, start: PicardState | None = None):
+    """The one Picard forward solve: ``order`` sweeps with slopes v = (beta, gamma).
 
-    With ``tangent`` the same pass also returns the exact Jacobian of those
-    values in (beta, gamma). It lifts the two slope directions, unit slopes
-    along beta and then gamma, through the linearised sweep
-    du <- dslope*d + V(df(u) du), with df1 = ((1 - psi) dphi - phi dpsi)/r
+    The walk starts from ``start``, or from iterate 0, (beta d, gamma d), when
+    it is None, and runs in even–odd order from end to end, in the buffers of
+    `_sweep_buffers`. Returns (state, fv, jac): the last iterate as a
+    `PicardState` in node order, merged once into the pair the last sweep
+    read; its values fv at l2; and with ``tangent`` the exact Jacobian of fv
+    in (beta, gamma), else None. The tangent pass lifts the two slope
+    directions, unit slopes along beta and then gamma, through the linearised
+    sweep du <- dslope*d + V(df(u) du), with df1 = ((1 - psi) dphi - phi dpsi)/r
     and df2 = (alpha dpsi - phi dphi)/s. That is two more `_volterra` calls
     per field: a tangent pass costs three forward solves.
 
-    Without ``record`` the iterate is not returned (None in its place) and
-    divergence is read once, from the endpoint values: a non-finite value
-    anywhere in an iterate runs through both running integrals of every
-    later sweep to node n - 1, so non-finite values at l2 raise
-    DivergenceError(order). A recorded solve raises at its first non-finite
-    update norm, before it gets here.
+    Without ``record`` the sweeps compute no update norms and nothing is
+    merged: the state is None, and divergence is read once, from the endpoint
+    values. A non-finite value anywhere in an iterate runs through both
+    running integrals of every later sweep to node n - 1, so non-finite values
+    at l2 raise DivergenceError(order). A recorded solve raises at its first
+    non-finite update norm, before it gets there.
     """
-    st, last, dirs = _forward_solve(params, grid, MatchingConstants(v[0], v[1]), order,
-                                    tangent=tangent, record=record)
+    c = MatchingConstants(v[0], v[1])
+    d = quadrature.split(_anchored(grid))
+    work, pairs = _sweep_buffers(d, None if start is None else start.fields)
+    if start is None:
+        np.multiply(d, c.beta, out=pairs[0][0])
+        np.multiply(d, c.gamma, out=pairs[0][1])
+    norms = [] if start is None else list(start.diff_norms)
+    if tangent:
+        units = ((1.0, 0.0), (0.0, 1.0))
+        dirs = [(a * d, b * d) for a, b in units]  # iterate 0 of (dphi, dpsi)
+        buffers = (work[0], np.empty_like(d), work[1])
+    for k in range(order):
+        old, new = pairs[k % 2], pairs[(k + 1) % 2]
+        if tangent:
+            _tangent_step(params, d, grid.h, old, dirs, units, buffers)
+        swept = _sweep(params, d, grid.h, old, (c.beta, c.gamma), work, new,
+                       len(norms) + 1 if record else None)
+        if swept is not None:
+            norms.append(max(swept))
+    last, spare = pairs[order % 2], pairs[(order + 1) % 2]
     end = quadrature.l2_index(grid.n)
     fv = np.array([last[0][end], last[1][end]])
     if not np.isfinite(fv).all():
         raise DivergenceError(order)
-    if not tangent:
-        return st, fv, None
-    jac = np.array([[dirs[0][0][end], dirs[1][0][end]],
-                    [dirs[0][1][end], dirs[1][1][end]]])
-    return st, fv, jac
+    state = jac = None
+    if record:
+        fields = FieldPair(*(quadrature.merge(u, out=b) for u, b in zip(last, spare)))
+        state = PicardState(fields, c, tuple(norms))
+    if tangent:
+        jac = np.array([[dirs[0][0][end], dirs[1][0][end]],
+                        [dirs[0][1][end], dirs[1][1][end]]])
+    return state, fv, jac
 
 
 def _tangent_step(params: SystemParams, d, h: float, fields, dirs, units, buffers) -> None:
@@ -360,9 +341,13 @@ def _tangent_step(params: SystemParams, d, h: float, fields, dirs, units, buffer
 
 
 def _newton_step(jac, fv):
-    """The Newton step -jac^-1 fv, or None if jac is singular or the step is not finite."""
+    """The Newton step -jac^-1 fv, or None if jac is singular or the step is not finite.
+
+    The 2x2 system is solved in float64, which `np.linalg` supports for every
+    grid dtype; fv and jac stay in the grid's dtype elsewhere.
+    """
     try:
-        delta = np.linalg.solve(jac, -fv)
+        delta = np.linalg.solve(np.asarray(jac, dtype=float), -np.asarray(fv, dtype=float))
     except np.linalg.LinAlgError:
         return None
     return delta if np.isfinite(delta).all() else None
@@ -397,13 +382,13 @@ def _line_search(params, grid, order, v, fv, jac, res, exact, record=True):
 
 
 def _newton(params, grid, order, v, jac=None, record=True):
-    """Newton-match the slopes from v: the accepted order-th iterate and the last Jacobian.
+    """Newton-match the slopes from v; returns (v, fv, jac, state) at the accepted slopes.
 
+    They are the slopes, their endpoint values, the last Jacobian and the
+    order-th iterate, which is None without ``record`` (see `_endpoint_map`).
     Without ``jac`` the first forward solve of orders >= 2 is a tangent pass,
     which also gives the exact Jacobian; a given ``jac`` is used as is, with
-    one plain forward solve, and is not taken as exact. Without ``record`` no
-    iterate is kept (see `_endpoint_map`), and the accepted slopes, their
-    endpoint values and the last Jacobian are returned instead. A refreshed
+    one plain forward solve, and is not taken as exact. A refreshed
     Jacobian's pass never records: its iterate is one already computed.
     """
     exact = jac is None and order > 1
@@ -429,7 +414,7 @@ def _newton(params, grid, order, v, jac=None, record=True):
         v, fv = trial, ft
     if res > NEWTON_TOL:
         raise MatchingFailureError(res)
-    return (state, jac) if record else (v, fv, jac)
+    return v, fv, jac, state
 
 
 def solve_picard(
@@ -451,7 +436,8 @@ def solve_picard(
       forward solve is a tangent pass, which also gives the exact Jacobian
       of the endpoint map (`_endpoint_map`).
     * Each accepted line-search trial updates the Jacobian by Broyden's
-      rank-1 formula, with no further solves.
+      rank-1 formula, with no further solves. A trial whose iterate diverges
+      counts as rejected.
     * The line search halves the step down to 1e-8 on an exact Jacobian,
       and tries only 1, 1/2 and 1/4 on a Broyden one. If it fails on a
       Broyden Jacobian, the exact Jacobian is recomputed once at the current
@@ -462,10 +448,12 @@ def solve_picard(
       from the fine one only at Simpson's O(h^4) level. One plain forward
       solve at the coarse root on (COARSE_N + 1) // 2 nodes estimates that
       difference by Richardson extrapolation, and one step with the coarse
-      Jacobian cancels it (`_richardson_start`). The same iteration then
-      finishes on ``grid`` from there, with one plain forward solve, most
-      often the only one, and the coarse Jacobian taken as not exact: if its
-      line search fails, one exact fine-grid tangent pass replaces it.
+      Jacobian cancels it (`_richardson_start`); if that solve diverges or
+      the step cannot be taken, the coarse slopes are kept. The same
+      iteration then finishes on ``grid`` from there, with one plain forward
+      solve, most often the only one, and the coarse Jacobian taken as not
+      exact: if its line search fails, one exact fine-grid tangent pass
+      replaces it.
     * The coarse and half-grid solves return only their endpoint values and
       the Jacobian, never an iterate: they compute no update norms and
       merge nothing. Divergence there is a non-finite endpoint value, raised
@@ -486,9 +474,9 @@ def solve_picard(
     v, jac = np.array([start.beta, start.gamma]), None
     if order > 1 and grid.n > 2 * COARSE_N - 1:
         coarse = Grid.uniform(grid.domain, COARSE_N, dtype=grid.nodes.dtype)
-        v_c, f_c, jac = _newton(params, coarse, order, v, record=False)
+        v_c, f_c, jac, _ = _newton(params, coarse, order, v, record=False)
         v = _richardson_start(params, grid, order, v_c, f_c, jac)
-    return _newton(params, grid, order, v, jac)[0]
+    return _newton(params, grid, order, v, jac)[3]
 
 
 def _richardson_start(params, grid, order, v_c, f_c, jac) -> np.ndarray:
@@ -525,15 +513,7 @@ def green_kernel_iterate(
     """
     grid.check_samples(start.phi)
     d = quadrature.split(_anchored(grid))
-    # The sweep's two work buffers and two field pairs in even–odd order, written
-    # in turn (never `start`): every sweep runs in these six arrays. Work first,
-    # as in `picard_step`. Sweep k reads pairs[k % 2], so start goes to pairs[0],
-    # and the result is merged into the pair the last sweep read. Starting in
-    # pairs[1] instead doubled green-sweep's page faults per call (`mem.minflt`).
-    work = _empty(start.phi, 2)
-    pairs = (_empty(start.phi, 2), _empty(start.phi, 2))
-    for u, half in zip((start.phi, start.psi), pairs[0]):
-        quadrature.split(u, out=half)
+    work, pairs = _sweep_buffers(d, start)
     trace: list[float] = []
     for k in range(cfg.max_iter):
         old, new = pairs[k % 2], pairs[(k + 1) % 2]

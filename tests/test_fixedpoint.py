@@ -1,6 +1,8 @@
+import inspect
 import math
 import tracemalloc
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -46,6 +48,20 @@ def unit_grid(n=2001):
 
 
 CFG = IterConfig(max_iter=100, tol=1e-300)
+
+
+def spy_endpoint_map(monkeypatch, spy):
+    """Patch `fixedpoint._endpoint_map` with ``spy(a, solve)``: ``a`` holds the
+    call's arguments by name, defaults applied, and solve() runs the real map."""
+    endpoint_map = fixedpoint._endpoint_map
+    signature = inspect.signature(endpoint_map)
+
+    def patched(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        return spy(SimpleNamespace(**bound.arguments), lambda: endpoint_map(*args, **kwargs))
+
+    monkeypatch.setattr(fixedpoint, "_endpoint_map", patched)
 
 
 class TestConfigTypes:
@@ -235,6 +251,16 @@ class TestPicardStep:
             picard_step(P1, g, st1)
         assert err.value.iteration == 2
 
+    def test_picard_step_is_one_forward_solve(self, monkeypatch):
+        # one order-1 `_endpoint_map` call from the given state, returned as is
+        g = unit_grid(101)
+        state = initial_state(g, MatchingConstants(1.3, -0.7))
+        calls = []
+        spy_endpoint_map(monkeypatch, lambda a, solve: calls.append((a, solve())) or calls[-1][1])
+        nxt = picard_step(P1, g, state)
+        assert [(a.order, a.start is state) for a, _ in calls] == [(1, True)]
+        assert nxt is calls[0][1][0]
+
     @given(arrays(np.float64, st.integers(1, 50),
                   elements=st.floats(allow_nan=False, width=64)))
     @example(np.array([-0.0, -0.0]))
@@ -335,14 +361,12 @@ class TestSolvePicard:
         # trials): the accepted trial's iterate is the last one computed and
         # is returned as is, not solved once more
         solves = []
-        endpoint_map = fixedpoint._endpoint_map
 
-        def counted(params, grid, order, v, tangent=False, record=True):
-            solves.append((grid.n, order, tangent,
-                           endpoint_map(params, grid, order, v, tangent, record)))
+        def counted(a, solve):
+            solves.append((a.grid.n, a.order, a.tangent, solve()))
             return solves[-1][3]
 
-        monkeypatch.setattr(fixedpoint, "_endpoint_map", counted)
+        spy_endpoint_map(monkeypatch, counted)
         st = solve_picard(P1, unit_grid(2001), CFG, 3)
         assert [s[:3] for s in solves] == [(2001, 3, True)] + [(2001, 3, False)] * 5
         assert st is solves[-1][3][0]
@@ -376,13 +400,11 @@ class TestSolvePicard:
         # a singular Jacobian fails its solve, a NaN one gives a non-finite
         # Newton step: either way the line search gives up on an exact
         # Jacobian at the start's residual
-        endpoint_map = fixedpoint._endpoint_map
-
-        def bad_tangent(params, grid, order, v, tangent=False, record=True):
-            st, fv, jac = endpoint_map(params, grid, order, v, tangent, record)
+        def bad_tangent(a, solve):
+            st, fv, jac = solve()
             return st, fv, None if jac is None else np.full((2, 2), bad)
 
-        monkeypatch.setattr(fixedpoint, "_endpoint_map", bad_tangent)
+        spy_endpoint_map(monkeypatch, bad_tangent)
         with pytest.raises(MatchingFailureError) as info:
             solve_picard(P1, unit_grid(201), CFG, 3)
         assert info.value.residual > fixedpoint.NEWTON_TOL
@@ -505,16 +527,16 @@ class TestSolvePicard:
     def solves_on(monkeypatch, n, fail_half=False):
         """Spy on `_endpoint_map`: the list of ``tangent`` flags of its n-node
         calls, and with ``fail_half`` the half-grid solve raises DivergenceError."""
-        fine, endpoint_map = [], fixedpoint._endpoint_map
+        fine = []
 
-        def spy(params, grid, order, v, tangent=False, record=True):
-            if fail_half and grid.n == (fixedpoint.COARSE_N + 1) // 2:
+        def spy(a, solve):
+            if fail_half and a.grid.n == (fixedpoint.COARSE_N + 1) // 2:
                 raise DivergenceError(1)
-            if grid.n == n:
-                fine.append(tangent)
-            return endpoint_map(params, grid, order, v, tangent, record)
+            if a.grid.n == n:
+                fine.append(a.tangent)
+            return solve()
 
-        monkeypatch.setattr(fixedpoint, "_endpoint_map", spy)
+        spy_endpoint_map(monkeypatch, spy)
         return fine
 
     def test_hard_case_order4_cost_is_pinned(self, monkeypatch):
@@ -551,7 +573,7 @@ class TestSolvePicard:
         # run wholly on the fine grid, from the same start, finds
         g = Grid.uniform(domain, 20001)
         mc = match_constants_order1(params, domain)
-        direct, _ = fixedpoint._newton(params, g, order, np.array([mc.beta, mc.gamma]))
+        direct = fixedpoint._newton(params, g, order, np.array([mc.beta, mc.gamma]))[3]
         st = solve_picard(params, g, CFG, order)
         assert st.n == order and st.fields.phi.shape == (20001,)
         assert endpoint_residual(st) <= fixedpoint.NEWTON_TOL
@@ -566,13 +588,13 @@ class TestSolvePicard:
         # pass: two _volterra calls per step on each grid, six more per step
         # of the coarse tangent pass
         solves, volterra = Counter(), Counter()
-        endpoint_map, vol = fixedpoint._endpoint_map, fixedpoint._volterra
+        vol = fixedpoint._volterra
 
-        def counted(params, grid, order, v, tangent=False, record=True):
-            solves.update([(grid.n, order, tangent)])
-            return endpoint_map(params, grid, order, v, tangent, record)
+        def counted(a, solve):
+            solves.update([(a.grid.n, a.order, a.tangent)])
+            return solve()
 
-        monkeypatch.setattr(fixedpoint, "_endpoint_map", counted)
+        spy_endpoint_map(monkeypatch, counted)
         monkeypatch.setattr(fixedpoint, "_volterra",
                             lambda f, *a: volterra.update([len(f)]) or vol(f, *a))
         st = solve_picard(P1, unit_grid(20001), CFG, 3)
@@ -601,7 +623,7 @@ class TestSolvePicard:
         # root of the direct fine match
         g = unit_grid(20001)
         mc = match_constants_order1(P1, UNIT)
-        direct, _ = fixedpoint._newton(P1, g, 3, np.array([mc.beta, mc.gamma]))
+        direct = fixedpoint._newton(P1, g, 3, np.array([mc.beta, mc.gamma]))[3]
         fine = self.solves_on(monkeypatch, g.n, fail_half=True)
         st = solve_picard(P1, g, CFG, 3)
         assert fine == [False, False]
@@ -617,8 +639,8 @@ class TestSolvePicard:
         # is within 3 % of each
         p, domain = SystemParams(1.0, 1.0, 4.0), Domain(0.3, 3.3)
         mc = match_constants_order1(p, domain)
-        state, jac = fixedpoint._newton(p, Grid.uniform(domain, fixedpoint.COARSE_N), 3,
-                                        np.array([mc.beta, mc.gamma]))
+        *_, jac, state = fixedpoint._newton(p, Grid.uniform(domain, fixedpoint.COARSE_N), 3,
+                                            np.array([mc.beta, mc.gamma]))
         g = Grid.uniform(domain, n)
         v = np.array([state.constants.beta, state.constants.gamma])
         f_c = np.array([state.fields.phi[-1], state.fields.psi[-1]])
@@ -630,8 +652,8 @@ class TestSolvePicard:
     @pytest.mark.parametrize("bad", [0.0, np.nan], ids=["singular", "nan"])
     def test_unusable_coarse_jacobian_keeps_the_coarse_slopes(self, bad):
         mc = match_constants_order1(P1, UNIT)
-        state, _ = fixedpoint._newton(P1, unit_grid(fixedpoint.COARSE_N), 3,
-                                      np.array([mc.beta, mc.gamma]))
+        state = fixedpoint._newton(P1, unit_grid(fixedpoint.COARSE_N), 3,
+                                   np.array([mc.beta, mc.gamma]))[3]
         v_c = np.array([state.constants.beta, state.constants.gamma])
         f_c = np.array([state.fields.phi[-1], state.fields.psi[-1]])
         v = fixedpoint._richardson_start(P1, unit_grid(20001), 3, v_c, f_c, np.full((2, 2), bad))
@@ -641,19 +663,19 @@ class TestSolvePicard:
         # a coarse Jacobian of the wrong sign sends the fine line search uphill
         # until it fails; one exact tangent pass on the fine grid recovers
         ref = solve_picard(P1, unit_grid(20001), CFG, 3)
-        newton, endpoint_map = fixedpoint._newton, fixedpoint._endpoint_map
+        newton = fixedpoint._newton
         tangents = []
 
         def bad_coarse(params, grid, order, v, jac=None, record=True):
-            *found, jac = newton(params, grid, order, v, jac, record)
-            return (*found, -jac if grid.n == fixedpoint.COARSE_N else jac)
+            v, fv, jac, state = newton(params, grid, order, v, jac, record)
+            return v, fv, -jac if grid.n == fixedpoint.COARSE_N else jac, state
 
-        def counted(params, grid, order, v, tangent=False, record=True):
-            tangents.append((grid.n, tangent))
-            return endpoint_map(params, grid, order, v, tangent, record)
+        def counted(a, solve):
+            tangents.append((a.grid.n, a.tangent))
+            return solve()
 
         monkeypatch.setattr(fixedpoint, "_newton", bad_coarse)
-        monkeypatch.setattr(fixedpoint, "_endpoint_map", counted)
+        spy_endpoint_map(monkeypatch, counted)
         st = solve_picard(P1, unit_grid(20001), CFG, 3)
         assert endpoint_residual(st) <= fixedpoint.NEWTON_TOL
         assert tangents.count((20001, True)) == 1
@@ -672,19 +694,15 @@ class TestSolvePicard:
         mc = match_constants_order1(params, domain)
         v = np.array([mc.beta, mc.gamma])
         calls, merges = [], []
-        endpoint_map, merge = fixedpoint._endpoint_map, quadrature.merge
-
-        def spy(params, grid, order, v, tangent=False, record=True):
-            calls.append((record, tangent))
-            return endpoint_map(params, grid, order, v, tangent, record)
-
-        monkeypatch.setattr(fixedpoint, "_endpoint_map", spy)
+        merge = quadrature.merge
+        spy_endpoint_map(monkeypatch,
+                         lambda a, solve: calls.append((a.record, a.tangent)) or solve())
         monkeypatch.setattr(quadrature, "merge", lambda *a, **k: merges.append(1) or merge(*a, **k))
-        state, jac = fixedpoint._newton(params, g, order, v)
+        *_, jac, state = fixedpoint._newton(params, g, order, v)
         recorded = [tangent for _, tangent in calls]
         calls.clear()
         merges.clear()
-        v_c, f_c, jac_c = fixedpoint._newton(params, g, order, v, record=False)
+        v_c, f_c, jac_c, _ = fixedpoint._newton(params, g, order, v, record=False)
         assert [tangent for _, tangent in calls] == recorded and len(recorded) > 1
         assert not any(record for record, _ in calls) and merges == []
         assert v_c.tolist() == [state.constants.beta, state.constants.gamma]
@@ -724,6 +742,17 @@ class TestSolvePicard:
             )
             assert np.array_equal(st.fields.phi, ref.fields.phi)
             assert np.array_equal(st.fields.psi, ref.fields.psi)
+
+    @pytest.mark.parametrize("order, n", [(2, 2001), (3, 2001), (6, 2001), (3, 20001)])
+    def test_longdouble_grid_matches(self, order, n):
+        # the 2x2 Newton system is solved in float64, the iterate keeps the
+        # grid's dtype and lands on the float64 match's slopes
+        ref = solve_picard(P1, unit_grid(n), CFG, order)
+        st = solve_picard(P1, Grid.uniform(UNIT, n, dtype=np.longdouble), CFG, order)
+        assert st.fields.phi.dtype == st.fields.psi.dtype == np.longdouble
+        assert endpoint_residual(st) <= fixedpoint.NEWTON_TOL
+        assert float(st.constants.beta) == pytest.approx(ref.constants.beta, rel=1e-12)
+        assert float(st.constants.gamma) == pytest.approx(ref.constants.gamma, rel=1e-12)
 
 
 class TestGreenKernelIteration:
