@@ -8,10 +8,11 @@ running integral C = `quadrature.cumulative` taken twice; it sees no coordinate:
     V(f)(x) = int_{l1}^{x} (x - t) f(t) dt = int_{l1}^{x} int_{l1}^{t} f = C(C(f)).
 
 One lift, `_lift`, computes slope*d + V(g) for one integrand g. The sweep lifts
-f1(u) and f2(u), and the Newton tangent pass the linearised integrands df(u) du,
-each under one errstate: overflow shows as non-finite values, not warnings. The
-sweep's two update norms are the record of an iteration: a non-finite one is
-divergence, and a Picard state's order is the number of norms it holds.
+f1(u) and f2(u), and the Newton tangent pass the linearised integrands of
+`model.eval_df`, each under one errstate: overflow shows as non-finite values,
+not warnings. The sweep's two update norms are the record of an iteration: a
+non-finite one is divergence, and a Picard state's order is the number of norms
+it holds.
 
 Every array a sweep or a lift touches is in even–odd order (`quadrature.split`),
 so the running integrals read and write contiguous halves; node n - 1 (l2)
@@ -19,8 +20,9 @@ sits at `quadrature.l2_index(n)`. `_endpoint_map` is the one Picard forward
 solve: `picard_step`, every Newton trial, tangent pass and Jacobian refresh,
 and the Richardson half-grid solve run through it. It starts in halves, or
 splits the state `picard_step` is given, sweeps in buffers allocated once
-(`_sweep_buffers`, shared with `green_kernel_iterate`) and merges its last
-iterate once. The solves of a sequenced match's coarse phase, on COARSE_N and
+and merges its last iterate once. Its set-up, `_sweep_buffers`, is shared with
+`green_kernel_iterate` and is the one place a start is checked against the
+grid. The solves of a sequenced match's coarse phase, on COARSE_N and
 (COARSE_N + 1) // 2 nodes, are never returned and keep no record: they give
 only their endpoint values and the Jacobian, compute no update norms, merge
 nothing, and read divergence once, from non-finite values at l2.
@@ -51,7 +53,7 @@ from .errors import (
     NotConvergedError,
 )
 from .model import (Domain, FieldPair, Grid, SystemParams, _require_finite, _sup_norm,
-                    eval_f1, eval_f2)
+                    eval_df, eval_f1, eval_f2)
 
 
 # Newton matching succeeds once |phi(l2)| + |psi(l2)| <= NEWTON_TOL.
@@ -116,21 +118,26 @@ def _volterra(f: np.ndarray, h: float, c1: np.ndarray, out: np.ndarray) -> np.nd
     return quadrature.cumulative(first, h, out, halves=True)
 
 
-def _sweep_buffers(d: np.ndarray, start: FieldPair | None):
-    """The six arrays every sweep of a solve runs in: a work pair, then two field pairs.
+def _sweep_buffers(grid: Grid, start: FieldPair | None):
+    """The set-up of every sweep walk on ``grid``: (d, work, pairs), all in even–odd order.
 
-    They are uninitialised, in even–odd order, like ``start`` or else d.
-    Sweep k reads pairs[k % 2] and writes the other, never ``start``, whose
-    node-order fields are split into pairs[0]. That order, work first and the
-    start in pairs[0], keeps page faults down: starting in pairs[1] instead
-    doubled green-sweep's faults per call (`mem.minflt`).
+    A ``start`` is checked against the grid here, for every walk. d is the
+    anchored coordinate; ``work`` is a pair and ``pairs`` two more, all
+    uninitialised, like ``start`` or else d. Sweep k reads pairs[k % 2] and
+    writes the other, never ``start``, whose node-order fields are split into
+    pairs[0]. That order, work first and the start in pairs[0], keeps page
+    faults down: starting in pairs[1] instead doubled green-sweep's faults
+    per call (`mem.minflt`).
     """
+    if start is not None:
+        grid.check_samples(start.phi)
+    d = quadrature.split(_anchored(grid))
     like = d if start is None else start.phi
     work, *pairs = [[np.empty_like(like), np.empty_like(like)] for _ in range(3)]
     if start is not None:
         for u, half in zip((start.phi, start.psi), pairs[0]):
             quadrature.split(u, out=half)
-    return work, pairs
+    return d, work, pairs
 
 
 def _lift(d, h: float, g, slope, out, scratch) -> np.ndarray:
@@ -180,7 +187,6 @@ def initial_state(grid: Grid, consts: MatchingConstants) -> PicardState:
 
 def picard_step(params: SystemParams, grid: Grid, state: PicardState) -> PicardState:
     """Advance the Picard recursion by one iterate, with the state's slopes held fixed."""
-    grid.check_samples(state.fields.phi)
     c = state.constants
     return _endpoint_map(params, grid, 1, (c.beta, c.gamma), start=state)[0]
 
@@ -270,9 +276,9 @@ def _endpoint_map(params: SystemParams, grid: Grid, order: int, v, tangent: bool
     read; its values fv at l2; and with ``tangent`` the exact Jacobian of fv
     in (beta, gamma), else None. The tangent pass lifts the two slope
     directions, unit slopes along beta and then gamma, through the linearised
-    sweep du <- dslope*d + V(df(u) du), with df1 = ((1 - psi) dphi - phi dpsi)/r
-    and df2 = (alpha dpsi - phi dphi)/s. That is two more `_volterra` calls
-    per field: a tangent pass costs three forward solves.
+    sweep du <- dslope*d + V(df(u) du), with df(u) du from `model.eval_df`.
+    That is two more `_volterra` calls per field: a tangent pass costs three
+    forward solves.
 
     Without ``record`` the sweeps compute no update norms and nothing is
     merged: the state is None, and divergence is read once, from the endpoint
@@ -282,8 +288,7 @@ def _endpoint_map(params: SystemParams, grid: Grid, order: int, v, tangent: bool
     non-finite update norm, before it gets there.
     """
     c = MatchingConstants(v[0], v[1])
-    d = quadrature.split(_anchored(grid))
-    work, pairs = _sweep_buffers(d, None if start is None else start.fields)
+    d, work, pairs = _sweep_buffers(grid, None if start is None else start.fields)
     if start is None:
         np.multiply(d, c.beta, out=pairs[0][0])
         np.multiply(d, c.gamma, out=pairs[0][1])
@@ -291,11 +296,17 @@ def _endpoint_map(params: SystemParams, grid: Grid, order: int, v, tangent: bool
     if tangent:
         units = ((1.0, 0.0), (0.0, 1.0))
         dirs = [(a * d, b * d) for a, b in units]  # iterate 0 of (dphi, dpsi)
-        buffers = (work[0], np.empty_like(d), work[1])
+        dg = (work[0], np.empty_like(d))
     for k in range(order):
         old, new = pairs[k % 2], pairs[(k + 1) % 2]
         if tangent:
-            _tangent_step(params, d, grid.h, old, dirs, units, buffers)
+            # Each direction forms both integrands before its own arrays take
+            # the lifts; the iterate's sweep then reuses dg[0] and the scratch.
+            with np.errstate(over="ignore", invalid="ignore"):
+                for du, slopes in zip(dirs, units):
+                    eval_df(params, *old, *du, dg, work[1])
+                    for g, slope, u in zip(dg, slopes, du):
+                        _lift(d, grid.h, g, slope, u, work[1])
         swept = _sweep(params, d, grid.h, old, (c.beta, c.gamma), work, new,
                        len(norms) + 1 if record else None)
         if swept is not None:
@@ -313,31 +324,6 @@ def _endpoint_map(params: SystemParams, grid: Grid, order: int, v, tangent: bool
         jac = np.array([[dirs[0][0][end], dirs[1][0][end]],
                         [dirs[0][1][end], dirs[1][1][end]]])
     return state, fv, jac
-
-
-def _tangent_step(params: SystemParams, d, h: float, fields, dirs, units, buffers) -> None:
-    """Advance each direction (dphi, dpsi) in ``dirs`` one linearised sweep, in place.
-
-    The directions, d and the iterate ``fields`` (before its own sweep) are in
-    even–odd order, and ``units`` holds each direction's slopes. ``buffers``
-    holds the two integrands and a scratch, which the iterate's sweep reuses
-    afterwards. A direction forms both of its integrands before its own arrays
-    take the lifts.
-    """
-    phi, psi = fields
-    g1, g2, scratch = buffers
-    r, s, alpha = params.r, params.s, params.alpha
-    with np.errstate(over="ignore", invalid="ignore"):
-        for (a, b), (da, db) in zip(dirs, units):
-            np.subtract(1.0, psi, out=g1)  # ((1 - psi) a - phi b) / r
-            g1 *= a
-            g1 -= np.multiply(phi, b, out=scratch)
-            g1 /= r
-            np.multiply(b, alpha, out=g2)  # (alpha b - phi a) / s
-            g2 -= np.multiply(phi, a, out=scratch)
-            g2 /= s
-            _lift(d, h, g1, da, a, scratch)
-            _lift(d, h, g2, db, b, scratch)
 
 
 def _newton_step(jac, fv):
@@ -511,9 +497,7 @@ def green_kernel_iterate(
     certificate bounds) once the difference drops below cfg.tol. Raises
     NotConvergedError if cfg.max_iter applications do not get there.
     """
-    grid.check_samples(start.phi)
-    d = quadrature.split(_anchored(grid))
-    work, pairs = _sweep_buffers(d, start)
+    d, work, pairs = _sweep_buffers(grid, start)
     trace: list[float] = []
     for k in range(cfg.max_iter):
         old, new = pairs[k % 2], pairs[(k + 1) % 2]

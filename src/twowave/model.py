@@ -10,6 +10,8 @@ psi'' = f2(phi, psi) with
 
     f1 = (phi - phi psi) / r,      f2 = (alpha psi - phi^2 / 2) / s.
 
+Their linearisation, which the Newton tangent pass lifts, is `eval_df`.
+
 All types are immutable value data; every operation is a pure function.
 """
 
@@ -163,6 +165,25 @@ def eval_f2(params: SystemParams, phi, psi, out=None, scratch=None):
     f2 -= half_sq
     f2 /= params.s
     return f2
+
+
+def eval_df(params: SystemParams, phi, psi, a, b, out, scratch):
+    """Linearised right-hand side: the derivative of (f1, f2) at (phi, psi) along (a, b).
+
+        df1 = ((1 - psi) a - phi b) / r,      df2 = (alpha b - phi a) / s.
+
+    Written into the pair ``out``, which is returned, with ``scratch`` holding
+    phi b and then phi a; none of the three may share memory with phi, psi, a or b.
+    """
+    g1, g2 = out
+    np.subtract(1.0, psi, out=g1)
+    g1 *= a
+    g1 -= np.multiply(phi, b, out=scratch)
+    g1 /= params.r
+    np.multiply(b, params.alpha, out=g2)
+    g2 -= np.multiply(phi, a, out=scratch)
+    g2 /= params.s
+    return out
 
 
 def residual(params: SystemParams, grid: Grid, fields: FieldPair):

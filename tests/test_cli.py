@@ -655,3 +655,33 @@ def test_python_dash_m_runs_the_cli(argv, code, stream, text):
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == code, done.stderr
     assert getattr(done, stream).startswith(text)
+
+
+# The five solver commands, on profiles under the directory given first.
+NO_SCIPY_SCRIPT = textwrap.dedent("""
+    import os, sys
+    sys.modules["scipy"] = None  # every import of scipy now raises ImportError
+    from twowave.cli import main
+    tmp = sys.argv[1]
+    for argv in (["exact", "--out", os.path.join(tmp, "exact.csv")],
+                 ["verify", os.path.join(tmp, "exact.csv"), "--out", os.path.join(tmp, "v.json")],
+                 ["solve", "--l1", "0", "--l2", "1", "--picard-order", "3",
+                  "--out", os.path.join(tmp, "picard.csv")],
+                 ["solve", "--method", "green", "--l1", "0", "--l2", "1",
+                  "--out", os.path.join(tmp, "green.csv")],
+                 ["certify", "--M", "1", "--Mstar", "1", "--l1", "0", "--l2", "1",
+                  "--out", os.path.join(tmp, "cert.json")]):
+        print(argv[0], main(argv))
+""")
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # numpy is the one runtime dependency: scipy is only a test extra
+    env = dict(os.environ)
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["exact 0", "verify 0", "solve 0", "solve 0",
+                                        "certify 0"], done.stderr

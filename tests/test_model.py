@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -26,6 +27,7 @@ from twowave import (
     sup_norms,
 )
 from twowave.errors import ConfigurationError
+from twowave.model import eval_df
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 nonzero = finite.filter(lambda v: abs(v) > 1e-6)
@@ -108,6 +110,20 @@ class TestRightHandSides:
         p = SystemParams(r=1.0, s=s, alpha=alpha)
         assert eval_f2(p, 0.0, psi) == pytest.approx(alpha * psi / s, rel=1e-12, abs=1e-9)
 
+    def test_df_is_the_exact_linearisation(self):
+        # f is quadratic, so df(u) v = (f(u + v) - f(u - v)) / 2 exactly; on
+        # integer samples and dyadic coefficients every step is exact in
+        # float64, so both sides agree bit for bit, even where df cancels to 0
+        rng = np.random.default_rng(25)
+        phi, psi, a, b = rng.integers(-1000, 1001, (4, 256)).astype(float)
+        dyadic = (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0, 4.0)
+        for r, s, alpha in itertools.product(dyadic, dyadic, (0.25, 1.0, 4.0)):
+            p = SystemParams(r, s, alpha)
+            out, scratch = (np.full_like(phi, np.nan), np.full_like(phi, np.nan)), np.empty_like(phi)
+            got = eval_df(p, phi, psi, a, b, out, scratch)
+            assert got is out
+            for f, df in zip((eval_f1, eval_f2), got):
+                assert np.array_equal(df, (f(p, phi + a, psi + b) - f(p, phi - a, psi - b)) / 2.0)
 
     @pytest.mark.parametrize("params", [SystemParams(), SystemParams(-3.7, 1e-300, 1e300),
                                         SystemParams(1e-300, -7.0, 0.3)])
