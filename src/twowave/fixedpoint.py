@@ -7,25 +7,25 @@ running integral C = `quadrature.cumulative` taken twice; it sees no coordinate:
 
     V(f)(x) = int_{l1}^{x} (x - t) f(t) dt = int_{l1}^{x} int_{l1}^{t} f = C(C(f)).
 
-One lift, `_lift`, computes slope*d + V(g) for one integrand g. The sweep lifts
-f1(u) and f2(u), and the Newton tangent pass the linearised integrands of
-`model.eval_df`, each under one errstate: overflow shows as non-finite values,
-not warnings. The sweep's two update norms are the record of an iteration: a
-non-finite one is divergence, and a Picard state's order is the number of norms
-it holds.
+One lift, `_lift`, computes slope*d + V(g) for one integrand g, with g and its
+output as the only buffers. The sweep lifts f1(u) and f2(u), and the Newton
+tangent pass the linearised integrands of `model.eval_df`, each under one
+errstate: overflow shows as non-finite values, not warnings. The sweep's two
+update norms are the record of an iteration: a non-finite one is divergence,
+and a Picard state's order is the number of norms it holds.
 
 Every array a sweep or a lift touches is in even–odd order (`quadrature.split`),
-so the running integrals read and write contiguous halves; node n - 1 (l2)
-sits at `quadrature.l2_index(n)`. `_endpoint_map` is the one Picard forward
-solve: `picard_step`, every Newton trial, tangent pass and Jacobian refresh,
-and the Richardson half-grid solve run through it. It starts in halves, or
-splits the state `picard_step` is given, sweeps in buffers allocated once
-and merges its last iterate once. Its set-up, `_sweep_buffers`, is shared with
-`green_kernel_iterate` and is the one place a start is checked against the
-grid. The solves of a sequenced match's coarse phase, on COARSE_N and
-(COARSE_N + 1) // 2 nodes, are never returned and keep no record: they give
-only their endpoint values and the Jacobian, compute no update norms, merge
-nothing, and read divergence once, from non-finite values at l2.
+so the running integrals read and write contiguous halves; node n - 1 (l2) sits
+at `quadrature.l2_index(n)`. `_endpoint_map` is the one Picard forward solve:
+`picard_step`, every Newton trial, tangent pass and Jacobian refresh, and the
+Richardson half-grid solve run through it. It starts in halves, or splits the
+state `picard_step` is given, sweeps in d, one work array and two field pairs,
+allocated once, and merges its last iterate once. Its set-up, `_sweep_buffers`,
+is shared with `green_kernel_iterate` and is the one place a start is checked
+against the grid. The coarse-phase solves of a sequenced match, on COARSE_N and
+(COARSE_N + 1) // 2 nodes, are never returned and keep no record: they give only
+their endpoint values and the Jacobian, compute no update norms, merge nothing,
+and read divergence once, from non-finite values at l2.
 
 * Picard successive approximation on the Volterra form u = slope*d + V(f(u)),
   the textbook double integral, with the unknown left-end slopes
@@ -56,9 +56,11 @@ from .model import (Domain, FieldPair, Grid, SystemParams, _require_finite, _sup
                     eval_df, eval_f1, eval_f2)
 
 
-# Newton matching succeeds once |phi(l2)| + |psi(l2)| <= NEWTON_TOL.
+# Newton matching succeeds once |phi(l2)| + |psi(l2)| is at most NEWTON_TOL or,
+# where that is larger, NEWTON_ROUNDOFF roundoffs of the endpoint terms (`_tolerance`).
 NEWTON_MAX_ITER = 50
 NEWTON_TOL = 1e-11
+NEWTON_ROUNDOFF = 16
 # Orders >= 2 on grids of more than 2 * COARSE_N - 1 nodes are matched on
 # COARSE_N nodes first, moved by a Richardson estimate from one solve on
 # (COARSE_N + 1) // 2 nodes, and finished on the fine grid.
@@ -106,7 +108,7 @@ class PicardState:
 
 def _anchored(grid: Grid) -> np.ndarray:
     """The anchored coordinate d = x - l1, built from 0 so it depends on L only."""
-    return np.linspace(0.0, grid.domain.length, grid.n, dtype=grid.nodes.dtype)
+    return np.linspace(0.0, grid.domain.length, grid.n, dtype=grid.dtype)
 
 
 def _volterra(f: np.ndarray, h: float, c1: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -122,7 +124,7 @@ def _sweep_buffers(grid: Grid, start: FieldPair | None):
     """The set-up of every sweep walk on ``grid``: (d, work, pairs), all in even–odd order.
 
     A ``start`` is checked against the grid here, for every walk. d is the
-    anchored coordinate; ``work`` is a pair and ``pairs`` two more, all
+    anchored coordinate; ``work`` is one array and ``pairs`` two pairs, all
     uninitialised, like ``start`` or else d. Sweep k reads pairs[k % 2] and
     writes the other, never ``start``, whose node-order fields are split into
     pairs[0]. That order, work first and the start in pairs[0], keeps page
@@ -133,24 +135,25 @@ def _sweep_buffers(grid: Grid, start: FieldPair | None):
         grid.check_samples(start.phi)
     d = quadrature.split(_anchored(grid))
     like = d if start is None else start.phi
-    work, *pairs = [[np.empty_like(like), np.empty_like(like)] for _ in range(3)]
+    work = np.empty_like(like)
+    pairs = [[np.empty_like(like), np.empty_like(like)] for _ in range(2)]
     if start is not None:
         for u, half in zip((start.phi, start.psi), pairs[0]):
             quadrature.split(u, out=half)
     return d, work, pairs
 
 
-def _lift(d, h: float, g, slope, out, scratch) -> np.ndarray:
+def _lift(d, h: float, g, slope, out) -> np.ndarray:
     """slope*d + V(g) into ``out``; a slope of None is the Green slope -V(g)(l2)/L.
 
-    All arrays are in even–odd order. ``scratch`` holds the first running
-    integral and then slope*d.
+    All arrays are in even–odd order. The first running integral goes into
+    ``out`` and V(g) back into ``g``, whose integrand the lift overwrites.
     """
-    _volterra(g, h, scratch, out)
+    _volterra(g, h, out, g)
     if slope is None:
         end = quadrature.l2_index(d.size)
-        slope = -out[end] / d[end]
-    return np.add(out, np.multiply(d, slope, out=scratch), out=out)
+        slope = -g[end] / d[end]
+    return np.add(g, np.multiply(d, slope, out=out), out=out)
 
 
 def _sweep(params: SystemParams, d, h: float, fields, slopes: tuple, work, out,
@@ -158,22 +161,21 @@ def _sweep(params: SystemParams, d, h: float, fields, slopes: tuple, work, out,
     """Apply u <- slope*d + V(f(u)) to the pair ``fields`` once: one `_lift` of each f(u).
 
     ``slopes`` holds the left-end slopes of (phi, psi), None as in `_lift`.
-    ``work`` holds two buffers, the integrand f(u) and the scratch, and the
-    new fields go into the pair ``out``; all are in even–odd order, like the
-    fields, and share no memory with them. Returns the sup norms of the two
-    updates. The old fields are finite, so a norm is finite exactly when its
-    new field is, unless the update itself overflows: a norm that is not
-    finite raises DivergenceError(step). A ``step`` of None computes no norms
-    and returns None.
+    ``work`` takes the integrand f(u) and then the update differences, and
+    the new fields go into the pair ``out``, whose psi first holds eval_f2's
+    scratch; all are in even–odd order, like the fields, and share no memory
+    with them. Returns the sup norms of the two updates. The old fields are
+    finite, so a norm is finite exactly when its new field is, unless the
+    update itself overflows: a norm that is not finite raises
+    DivergenceError(step). A ``step`` of None computes no norms and returns None.
     """
     phi, psi = fields
-    g, scratch = work
     with np.errstate(over="ignore", invalid="ignore"):
-        _lift(d, h, eval_f1(params, phi, psi, out=g), slopes[0], out[0], scratch)
-        _lift(d, h, eval_f2(params, phi, psi, out=g, scratch=scratch), slopes[1], out[1], scratch)
+        _lift(d, h, eval_f1(params, phi, psi, out=work), slopes[0], out[0])
+        _lift(d, h, eval_f2(params, phi, psi, out=work, scratch=out[1]), slopes[1], out[1])
         if step is None:
             return None
-        norms = [_sup_norm(np.subtract(u, old, out=scratch)) for u, old in zip(out, fields)]
+        norms = [_sup_norm(np.subtract(u, old, out=work)) for u, old in zip(out, fields)]
     if not all(map(math.isfinite, norms)):
         raise DivergenceError(step)
     return norms
@@ -296,17 +298,16 @@ def _endpoint_map(params: SystemParams, grid: Grid, order: int, v, tangent: bool
     if tangent:
         units = ((1.0, 0.0), (0.0, 1.0))
         dirs = [(a * d, b * d) for a, b in units]  # iterate 0 of (dphi, dpsi)
-        dg = (work[0], np.empty_like(d))
     for k in range(order):
         old, new = pairs[k % 2], pairs[(k + 1) % 2]
         if tangent:
-            # Each direction forms both integrands before its own arrays take
-            # the lifts; the iterate's sweep then reuses dg[0] and the scratch.
+            # Each direction forms both integrands in (work, new[1]), new[0] the
+            # scratch, before its own arrays take the lifts; the sweep overwrites all three.
             with np.errstate(over="ignore", invalid="ignore"):
                 for du, slopes in zip(dirs, units):
-                    eval_df(params, *old, *du, dg, work[1])
+                    dg = eval_df(params, *old, *du, (work, new[1]), new[0])
                     for g, slope, u in zip(dg, slopes, du):
-                        _lift(d, grid.h, g, slope, u, work[1])
+                        _lift(d, grid.h, g, slope, u)
         swept = _sweep(params, d, grid.h, old, (c.beta, c.gamma), work, new,
                        len(norms) + 1 if record else None)
         if swept is not None:
@@ -324,6 +325,19 @@ def _endpoint_map(params: SystemParams, grid: Grid, order: int, v, tangent: bool
         jac = np.array([[dirs[0][0][end], dirs[1][0][end]],
                         [dirs[0][1][end], dirs[1][1][end]]])
     return state, fv, jac
+
+
+def _tolerance(grid: Grid, v) -> float:
+    """The matching tolerance at slopes v: NEWTON_TOL or NEWTON_ROUNDOFF eps (|beta| + |gamma|) L.
+
+    The larger one is taken, with eps the machine epsilon of the grid's dtype.
+    phi(l2) = beta L + V(f1)(l2) and psi(l2) = gamma L + V(f2)(l2) are
+    differences of terms near (|beta| + |gamma|) L. The slopes grow as L^-3,
+    so on short intervals their roundoff passes NEWTON_TOL: at the order-1
+    slopes of L = 1e-3, eps (|beta| + |gamma|) L is 6.4e-9.
+    """
+    scale = (abs(float(v[0])) + abs(float(v[1]))) * grid.domain.length
+    return max(NEWTON_TOL, NEWTON_ROUNDOFF * float(np.finfo(grid.dtype).eps) * scale)
 
 
 def _newton_step(jac, fv):
@@ -382,7 +396,7 @@ def _newton(params, grid, order, v, jac=None, record=True):
     jac = tangent_jac if exact else jac
     res = _residual(fv)
     for _ in range(NEWTON_MAX_ITER):
-        if res <= NEWTON_TOL:
+        if res <= _tolerance(grid, v):
             break
         if jac is None:
             jac = _endpoint_map(params, grid, order, v, tangent=True, record=False)[2]
@@ -398,7 +412,7 @@ def _newton(params, grid, order, v, jac=None, record=True):
         jac = jac + np.outer(ft - fv - jac @ step, step) / (step @ step)
         exact = False
         v, fv = trial, ft
-    if res > NEWTON_TOL:
+    if res > _tolerance(grid, v):
         raise MatchingFailureError(res)
     return v, fv, jac, state
 
@@ -417,7 +431,7 @@ def solve_picard(
     to zero, and the iterate of the accepted slopes is returned as computed.
 
     * Order 1 starts from the true closed-form root `_order1_slopes`, where
-      the residual is already below NEWTON_TOL: one forward solve.
+      the residual is already within the tolerance: one forward solve.
     * Orders >= 2 start from `match_constants_order1`, and their first
       forward solve is a tangent pass, which also gives the exact Jacobian
       of the endpoint map (`_endpoint_map`).
@@ -459,7 +473,7 @@ def solve_picard(
         start = match_constants_order1(params, domain=grid.domain, beta_sign=beta_sign)
     v, jac = np.array([start.beta, start.gamma]), None
     if order > 1 and grid.n > 2 * COARSE_N - 1:
-        coarse = Grid.uniform(grid.domain, COARSE_N, dtype=grid.nodes.dtype)
+        coarse = Grid.uniform(grid.domain, COARSE_N, dtype=grid.dtype)
         v_c, f_c, jac, _ = _newton(params, coarse, order, v, record=False)
         v = _richardson_start(params, grid, order, v_c, f_c, jac)
     return _newton(params, grid, order, v, jac)[3]
@@ -469,7 +483,7 @@ def _richardson_start(params, grid, order, v_c, f_c, jac) -> np.ndarray:
     """The fine Newton's start: the coarse root plus a step cancelling its estimated fine values.
 
     Simpson's error in the endpoint values is C h^4. The coarse root v_c's
-    values f_c, which are below NEWTON_TOL, and those of one plain forward
+    values f_c, which are within the tolerance, and those of one plain forward
     solve at the same slopes on (COARSE_N + 1) // 2 nodes, f_H, give
     C h_c^4 = (f_H - f_c)/15, so the fine grid's values there are about
     f_c + (f_c - f_H)/15 (1 - (h/h_c)^4). The half-grid solve keeps no
@@ -477,7 +491,7 @@ def _richardson_start(params, grid, order, v_c, f_c, jac) -> np.ndarray:
     returned unchanged if that solve diverges, or if ``jac`` is singular or
     gives a step that is not finite.
     """
-    half = Grid.uniform(grid.domain, (COARSE_N + 1) // 2, dtype=grid.nodes.dtype)
+    half = Grid.uniform(grid.domain, (COARSE_N + 1) // 2, dtype=grid.dtype)
     try:
         f_half = _endpoint_map(params, half, order, v_c, record=False)[1]
     except DivergenceError:

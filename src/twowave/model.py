@@ -18,7 +18,7 @@ All types are immutable value data; every operation is a pure function.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,25 +76,26 @@ class Domain:
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform sampling of a Domain with n >= 3 nodes; build it with `uniform`."""
+    """Uniform grid (domain, n, dtype), n >= 3, that computes `nodes` when read; see `uniform`."""
 
     domain: Domain
-    nodes: np.ndarray = field(repr=False)
+    n: int
+    dtype: np.dtype
 
     @classmethod
     def uniform(cls, domain: Domain, n: int, dtype=float) -> "Grid":
-        # n is checked before numpy sizes the node array.
+        # n is checked, and sized by numpy without touching a page, here.
         if n < 3:
             raise ConfigurationError("grid needs at least 3 nodes")
         try:
-            nodes = np.linspace(domain.l1, domain.l2, n, dtype=dtype)
+            np.empty(n, dtype)
         except (ValueError, MemoryError) as exc:
             raise ConfigurationError(f"too many grid nodes: {exc}") from None
-        return cls(domain, nodes)
+        return cls(domain, n, np.dtype(dtype))
 
     @property
-    def n(self) -> int:
-        return len(self.nodes)
+    def nodes(self) -> np.ndarray:
+        return np.linspace(self.domain.l1, self.domain.l2, self.n, dtype=self.dtype)
 
     @property
     def h(self) -> float:

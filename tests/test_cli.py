@@ -167,6 +167,7 @@ class TestSolveCommand:
 
     def test_matching_failure_exits_3(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(fixedpoint, "NEWTON_TOL", 0.0)
+        monkeypatch.setattr(fixedpoint, "NEWTON_ROUNDOFF", 0)
         out = tmp_path / "s.csv"
         assert run_cli("solve", "--l1", 0, "--l2", 1, "--n", 201, "--out", out) == 3
         assert capsys.readouterr().err.startswith("error: boundary matching failed")
@@ -427,14 +428,21 @@ class TestConfigDocument:
         assert capsys.readouterr().err.splitlines() == ["error: length must be finite, got inf"]
         assert not out.exists()
 
-    # Only sizes numpy refuses before it allocates anything.
-    @pytest.mark.parametrize("flags, message", [
-        (["--n", -5], "error: grid needs at least 3 nodes"),
-        (["--n", 2**62 + 1], "error: too many grid nodes"),
-    ], ids=["negative-n", "n-over-numpy-max-size"])
-    def test_bad_node_count_exits_2(self, capsys, flags, message):
-        assert run_cli("exact", *flags) == 2
+    # Only sizes numpy refuses before it allocates anything: 2**59 float64
+    # nodes are 4 EiB, which malloc refuses without touching a page.
+    @pytest.mark.parametrize("argv, message", [
+        (["exact", "--n", -5], "error: grid needs at least 3 nodes"),
+        (["exact", "--n", 2**62 + 1], "error: too many grid nodes"),
+        (["exact", "--n", 2**59], "error: too many grid nodes"),
+        (["solve", "--n", 2**59], "error: too many grid nodes"),
+        (["solve", "--method", "green", "--n", 2**59], "error: too many grid nodes"),
+    ], ids=["negative-n", "n-over-numpy-max-size", "exact-n-unallocatable",
+            "solve-n-unallocatable", "solve-green-n-unallocatable"])
+    def test_bad_node_count_exits_2(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--out", out) == 2
         assert capsys.readouterr().err.startswith(message)
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, doc, message", [
         ("exact", '{"n": 5.5}', "error: n must be int, got 5.5"),

@@ -61,6 +61,28 @@ class TestParams:
         assert g.h == pytest.approx(1.0)
         assert g.n == len(g.nodes) == 11
 
+    def test_grid_is_a_value_that_computes_its_nodes(self):
+        # a grid holds (domain, n, dtype): none of the 1.6 MB of nodes at n = 200001
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            g = Grid.uniform(Domain(0, 1), 200001)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert held < 1024 and g.n == 200001
+        # the nodes are linspace's, bit for bit (compared as values: a
+        # longdouble's padding bytes are not part of it)
+        for n, dtype in itertools.product((2000, 2001), (np.float64, np.longdouble)):
+            got = Grid.uniform(Domain(-0.3, 1.7), n, dtype=dtype).nodes
+            want = np.linspace(-0.3, 1.7, n, dtype=dtype)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        # equal values, equal hashes
+        a, b = Grid.uniform(Domain(0, 1), 11), Grid.uniform(Domain(0.0, 1.0), 11, dtype=np.float64)
+        assert a == b and hash(a) == hash(b)
+        assert a != Grid.uniform(Domain(0, 1), 11, dtype=np.longdouble)
+        assert a != Grid.uniform(Domain(0, 1), 13)
+
     def test_fieldpair_shape_and_finiteness(self):
         with pytest.raises(ConfigurationError):
             FieldPair(np.zeros(3), np.zeros(4))
