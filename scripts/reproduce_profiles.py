@@ -1,76 +1,50 @@
 #!/usr/bin/env python3
 """Emit the standard set of solution profiles as CSV files.
 
-Writes, into an output directory:
+Runs nine `twowave` commands in process, each with --n and --out <outdir>/<name>:
   exact_c2_{0,+2,-2}.csv   shifted closed-form humps at alpha = 1
   bright_order{0,1}.csv    large-alpha bright expansion (alpha = 4)
   dark_order{0,1}.csv      dark/kink expansion (alpha = 1)
-  picard_order3.csv        successively approximated profile on [0, 1]
+  picard_order3.csv        matched order-3 Picard profile on [0, 1]
   green_fixed_point.csv    kernel iteration limit from a random start
+The two solves also write their <name>.meta.json sidecars.
 
-Usage: python scripts/reproduce_profiles.py [--outdir profiles]
+Usage: python scripts/reproduce_profiles.py [--outdir profiles] [--n 2001]
 """
 
 import argparse
 import pathlib
+import sys
 
-import numpy as np
+from twowave.cli import main as twowave
 
-from twowave import (
-    Domain,
-    ExactSolutionParams,
-    FieldPair,
-    Grid,
-    IterConfig,
-    SeriesParams,
-    SystemParams,
-    green_kernel_iterate,
-    sample_closed_form,
-    solve_picard,
-)
-from twowave.cli import write_profile
+PROFILES = {
+    "exact_c2_0.csv": ["exact", "--c2=0"],
+    "exact_c2_+2.csv": ["exact", "--c2=2"],
+    "exact_c2_-2.csv": ["exact", "--c2=-2"],
+    **{f"{kind}_order{order}.csv": ["series", kind, "--alpha", alpha, "--order", str(order)]
+       for order in (0, 1) for kind, alpha in (("bright", "4"), ("dark", "1"))},
+    "picard_order3.csv": ["solve", "--l1", "0", "--l2", "1", "--picard-order", "3"],
+    "green_fixed_point.csv": ["solve", "--method", "green", "--l1", "0", "--l2", "1",
+                              "--seed", "0", "--max-iter", "60", "--tol", "1e-13"],
+}
 
 
-def save(path: pathlib.Path, x, phi, psi) -> None:
-    write_profile(path, x, phi, psi)
-    print(f"wrote {path} ({len(x)} rows)")
-
-
-def main() -> None:
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--outdir", default="profiles")
     ap.add_argument("--n", type=int, default=2001)
     args = ap.parse_args()
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-
-    p1 = SystemParams(1.0, 1.0, 1.0)
-    wide = Grid.uniform(Domain(-10.0, 10.0), args.n)
-    x_wide = wide.nodes  # a grid computes its nodes on every read
-
-    for c2, tag in ((0.0, "0"), (2.0, "+2"), (-2.0, "-2")):
-        f = sample_closed_form("exact", wide, ExactSolutionParams(c2))
-        save(outdir / f"exact_c2_{tag}.csv", x_wide, f.phi, f.psi)
-
-    for order in (0, 1):
-        f = sample_closed_form("bright", wide, SeriesParams(alpha=4.0, s=1.0, order=order))
-        save(outdir / f"bright_order{order}.csv", x_wide, f.phi, f.psi)
-        f = sample_closed_form("dark", wide, SeriesParams(alpha=1.0, s=1.0, order=order))
-        save(outdir / f"dark_order{order}.csv", x_wide, f.phi, f.psi)
-
-    unit = Grid.uniform(Domain(0.0, 1.0), args.n)
-    x_unit = unit.nodes
-    state = solve_picard(p1, unit, IterConfig(), 3)
-    save(outdir / "picard_order3.csv", x_unit, state.fields.phi, state.fields.psi)
-    print(f"  matched constants: beta={state.constants.beta:.12g}, "
-          f"gamma={state.constants.gamma:.12g}")
-
-    rng = np.random.default_rng(0)
-    start = FieldPair(rng.uniform(-1, 1, unit.n), rng.uniform(-1, 1, unit.n))
-    final, trace = green_kernel_iterate(p1, unit, start, IterConfig(60, 1e-13))
-    save(outdir / "green_fixed_point.csv", x_unit, final.phi, final.psi)
-    print(f"  kernel iteration: {len(trace)} sweeps, final update {trace[-1]:.3e}")
+    for name, command in PROFILES.items():
+        argv = [*command, "--n", str(args.n), "--out", str(outdir / name)]
+        if (code := twowave(argv)) != 0:
+            print("failed: twowave " + " ".join(argv), file=sys.stderr)
+            return code
+        print(f"wrote {outdir / name}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -78,9 +78,12 @@ class ConvergenceBound:
 def convergence_bound(bound: ConvergenceBound, L: float, n: int) -> tuple[float, float]:
     """Factorial bound on the n-th successive difference of the iterates.
 
-    Returns (K1^{n+1} L^{n+2} / (n+2)!, same with K2); dominates
-    ||u_{n+1} - u_n|| on intervals of length L while the iterates stay
-    inside the box the K's were computed from.
+    Returns (K1^{n+1} L^{n+2} / (n+2)!, same with K2). The larger of the
+    two dominates the larger update max(||dphi||, ||dpsi||) of the n-th step
+    on intervals of length L, while the iterates stay inside the box the K's
+    were computed from. The entries are not per-field bounds: from slopes
+    0.1 on [0, 1], phi's update exceeds the K1 entry at steps 4-9 when
+    (r, s, alpha) = (1, 1, 4).
     """
     if not L > 0.0:
         raise ConfigurationError("L must be positive")

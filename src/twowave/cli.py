@@ -210,6 +210,8 @@ def cmd_solve(cfg: RunConfig, args: argparse.Namespace) -> int:
             "gamma": state.constants.gamma,
             "diff_norms": list(state.diff_norms),
             "endpoint_residual": fixedpoint.endpoint_residual(state),
+            "matching_tolerance": fixedpoint._tolerance(grid, (state.constants.beta,
+                                                               state.constants.gamma)),
         }
     write_profile(cfg.out, grid.nodes, fields.phi, fields.psi, cfg.format)
     if cfg.out == "-":

@@ -118,6 +118,18 @@ class TestSolveCommand:
         assert meta["gamma"] == pytest.approx(14.0, rel=1e-8)
         assert meta["beta"] == pytest.approx(math.sqrt(392.0), rel=1e-8)
         assert meta["endpoint_residual"] < 1e-10
+        assert meta["matching_tolerance"] == fixedpoint.NEWTON_TOL
+
+    def test_short_interval_sidecar_reports_the_roundoff_tolerance(self, tmp_path):
+        # on [0, 1e-3] the endpoint terms' roundoff, not NEWTON_TOL, sets the tolerance
+        out = tmp_path / "s.csv"
+        assert run_cli("solve", "--l1", 0, "--l2", 1e-3, "--picard-order", 1,
+                       "--out", out) == 0
+        meta = json.loads((tmp_path / "s.csv.meta.json").read_text())
+        scale = (abs(meta["beta"]) + abs(meta["gamma"])) * 1e-3
+        assert meta["matching_tolerance"] == pytest.approx(
+            fixedpoint.NEWTON_ROUNDOFF * np.finfo(float).eps * scale, rel=1e-12)
+        assert fixedpoint.NEWTON_TOL < meta["endpoint_residual"] <= meta["matching_tolerance"]
 
     def test_negative_beta_branch(self, tmp_path):
         out = tmp_path / "s.csv"
