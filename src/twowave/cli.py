@@ -161,19 +161,13 @@ def _write_text(path, text: str) -> None:
 
 
 def _write_json(path: str, doc) -> None:
-    _write_text(path, json.dumps(doc, indent=2) + "\n")
+    _write_text(path, json.dumps(doc, indent=2, allow_nan=False) + "\n")
 
 
 def cmd_sample(cfg: RunConfig, args: argparse.Namespace) -> int:
     grid = cfg.grid()
     if args.kind == "exact":
         params = closed_form.ExactSolutionParams(cfg.c2)
-        print(
-            "note: exact pair uses the ordering phi = sqrt(2)*psi "
-            "(phi amplitude 3/sqrt(2), psi amplitude 3/2); the swapped "
-            "ordering does not satisfy the coupled system.",
-            file=sys.stderr,
-        )
     else:
         params = closed_form.SeriesParams(cfg.alpha, cfg.s, cfg.series_order)
     fields = closed_form.sample_closed_form(args.kind, grid, params)
@@ -228,25 +222,15 @@ def cmd_certify(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def read_profile(path: str):
-    """Parse an (x, phi, psi) profile file; returns three float arrays."""
+    """Parse an (x, phi, psi) profile file into three float arrays; `cmd_verify` checks them."""
     text = _read_text(path, "profile", ProfileParseError)
-    if text.lstrip().startswith("{"):
-        try:
-            doc = json.loads(text)
-            x = np.asarray(doc["x"], dtype=float)
-            phi = np.asarray(doc["phi"], dtype=float)
-            psi = np.asarray(doc["psi"], dtype=float)
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise ProfileParseError(f"bad JSON profile: {exc}") from exc
-        if not (x.ndim == 1 and x.shape == phi.shape == psi.shape):
-            raise ProfileParseError("x, phi, psi columns must have equal length")
-    else:
-        x, phi, psi = _parse_csv(text)
-    if len(x) < 3:
-        raise ProfileParseError("profile needs at least 3 rows")
-    if not all(np.isfinite(col).all() for col in (x, phi, psi)):
-        raise ProfileParseError("profile values must be finite")
-    return x, phi, psi
+    if not text.lstrip().startswith("{"):
+        return _parse_csv(text)
+    try:
+        doc = json.loads(text)
+        return tuple(np.asarray(doc[key], dtype=float) for key in ("x", "phi", "psi"))
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        raise ProfileParseError(f"bad JSON profile: {exc}") from exc
 
 
 def _parse_csv(text: str) -> np.ndarray:
@@ -282,23 +266,29 @@ def _parse_csv(text: str) -> np.ndarray:
 
 def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
     x, phi, psi = read_profile(args.input_profile)
-    n = x.size
-    if x[-1] <= x[0]:
+    try:
+        # x.flat reads the ends of an x of any shape; an empty x has none and
+        # gets a placeholder domain, so that Grid rejects its node count.
+        ends = x.flat[[0, -1]] if x.size else (0.0, 1.0)
+        grid = model.Grid.uniform(model.Domain(*map(float, ends)), x.size)
+        fields = model.FieldPair(phi, psi)
+        for u in (x, fields.phi):
+            grid.check_samples(u)
+    except ConfigurationError as exc:
+        raise ProfileParseError(f"profile: {exc}") from None
+    if not np.max(np.abs(x - grid.nodes)) <= 1e-9 * max(abs(grid.h), 1.0):
         raise ProfileParseError("x column is not a uniform ascending grid")
-    grid = model.Grid.uniform(model.Domain(float(x[0]), float(x[-1])), n)
-    if np.max(np.abs(x - grid.nodes)) > 1e-9 * max(abs(grid.h), 1.0):
-        raise ProfileParseError("x column is not a uniform ascending grid")
-    fields = model.FieldPair(phi, psi)
     params = cfg.params()
-    r1, r2 = model.residual(params, grid, fields)
-    with warnings.catch_warnings():
-        # The last two keys report what the diagnostics would warn about on stderr.
+    with warnings.catch_warnings(), np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # The last two keys report what the diagnostics would warn about on
+        # stderr; a value that left the double range is refused below.
         warnings.simplefilter("ignore", analysis.DirichletWarning)
         warnings.simplefilter("ignore", analysis.CoefficientWarning)
+        r1, r2 = model.residual(params, grid, fields)
         report = {
             "file": args.input_profile,
-            "n": int(n),
-            "domain": [float(x[0]), float(x[-1])],
+            "n": grid.n,
+            "domain": [grid.domain.l1, grid.domain.l2],
             "max_residual_phi": model._sup_norm(r1),
             "max_residual_psi": model._sup_norm(r2),
             "boundary_values": [float(phi[0]), float(phi[-1]), float(psi[0]), float(psi[-1])],
@@ -307,6 +297,9 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
             "dirichlet_endpoints": all(map(analysis.dirichlet_endpoints, (phi, psi))),
             "unit_coefficients": params.r == params.s == 1.0,
         }
+    for key in ("max_residual_phi", "max_residual_psi", "energy_identity_residual"):
+        if not np.isfinite(report[key]):
+            raise ProfileParseError(f"profile {key} is not finite")
     _write_json(cfg.out, report)
     return EXIT_OK
 
@@ -324,7 +317,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("exact", help="sample the exact alpha=1 solution")
+    p = sub.add_parser("exact", help="sample the exact alpha=1 solution",
+                       description="Sample the exact alpha=1 pair. It uses the ordering "
+                       "phi = sqrt(2)*psi (phi amplitude 3/sqrt(2), psi amplitude 3/2); "
+                       "the swapped ordering does not satisfy the coupled system.")
     p.set_defaults(func=cmd_sample, kind="exact")
 
     p = sub.add_parser("series", help="sample a bright/dark asymptotic series")

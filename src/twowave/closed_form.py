@@ -4,7 +4,7 @@ The exact pair exists at alpha=1 where the system decouples along
 phi = sqrt(2)*psi into psi'' - psi + psi^2 = 0, solved by a sech^2 hump.
 The component ordering here is the one that actually solves both
 equations of the system (phi carries the larger 3/sqrt(2) amplitude);
-see the note emitted by the CLI `exact` command.
+see `twowave exact --help`.
 
 1 - tanh^2(u) is evaluated as sech^2(u) throughout: the subtraction
 cancels catastrophically for large |u| while sech^2 underflows cleanly.

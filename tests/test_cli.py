@@ -33,7 +33,9 @@ class TestExactCommand:
         lines = out.read_text().splitlines()
         assert lines[0] == "x,phi,psi"
         assert len(lines) == 4
-        assert "ordering" in capsys.readouterr().err
+        assert capsys.readouterr().err == ""
+        assert run_cli("exact", "--help") == 0
+        assert "the swapped ordering does not satisfy" in " ".join(capsys.readouterr().out.split())
 
     def test_peak_row(self, tmp_path):
         out = tmp_path / "p.csv"
@@ -303,7 +305,7 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("text, message", [
         ('{"x": [0, 0.5, 1], "phi": [0, 0, 0]', "error: bad JSON profile"),
         ('{"x": [0, 0.5, 1], "phi": [0, 0, 0], "psi": [0, 0]}',
-         "error: x, phi, psi columns must have equal length"),
+         "error: profile: phi and psi must be 1-d arrays of equal length"),
     ], ids=["malformed", "unequal-columns"])
     def test_bad_json_profile_exits_4(self, tmp_path, capsys, text, message):
         prof = tmp_path / "p.json"
@@ -329,7 +331,32 @@ class TestVerifyCommand:
         prof = tmp_path / name
         prof.write_text(text)
         assert run_cli("verify", prof, "--out", tmp_path / "r.json") == 4
-        assert capsys.readouterr().err.startswith("error: profile values must be finite")
+        assert capsys.readouterr().err.startswith("error: profile: field values must be finite")
+
+    @pytest.mark.parametrize("name, text, message", [
+        ("p.csv", "x,phi,psi\n1,0,0\n0.5,0,0\n0,0,0\n", "profile: need l2 > l1, got [1.0, 0.0]"),
+        ("p.csv", "x,phi,psi\n-1e308,0,0\n0,0,0\n1e308,0,0\n",
+         "profile: length must be finite, got inf"),
+        ("p.json", '{"x": [], "phi": [], "psi": []}', "profile: grid needs at least 3 nodes"),
+        ("p.json", '{"x": 5, "phi": [0, 0, 0], "psi": [0, 0, 0]}',
+         "profile: need l2 > l1, got [5.0, 5.0]"),
+        ("p.json", '{"x": [[0, 0.5], [1, 1.5]], "phi": [0, 0, 0, 0], "psi": [0, 0, 0, 0]}',
+         "profile: samples of shape (2, 2) do not fit 4 nodes"),
+        ("p.csv", "x,phi,psi\n0,0,0\nnan,0,0\n1,0,0\n", "x column is not a uniform ascending grid"),
+        ("p.csv", "x,phi,psi\n0,0,0\n1e-300,0,0\n2e-300,0,0\n3e-300,0,0\n",
+         "profile max_residual_phi is not finite"),
+        ("p.csv", "x,phi,psi\n0,0,0\n0.5,1e200,1e200\n1,0,0\n",
+         "profile max_residual_phi is not finite"),
+    ], ids=["descending", "length-overflows", "json-empty", "json-0d", "json-2d", "x-nan",
+            "step-1e-300", "fields-1e200"])
+    @pytest.mark.filterwarnings("error")
+    def test_profile_the_value_types_reject_exits_4(self, tmp_path, capsys, name, text, message):
+        # one error line, no traceback, no numpy warning and no report
+        prof, rep = tmp_path / name, tmp_path / "r.json"
+        prof.write_text(text)
+        assert run_cli("verify", prof, "--out", rep) == 4
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not rep.exists()
 
     @pytest.mark.filterwarnings("error")
     def test_default_exact_profile_verifies_silently(self, tmp_path, capsys):
