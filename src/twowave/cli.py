@@ -18,6 +18,7 @@ import dataclasses
 import functools
 import itertools
 import json
+import math
 import os
 import stat
 import sys
@@ -60,13 +61,14 @@ class RunConfig:
     n: int = _setting(2001, "number of grid nodes", "exact series solve")
     c2: float = _setting(0.0, "translation of the exact pair", "exact")
     series_order: int = _setting(0, "series truncation order (0 or 1)", "series", flag="--order")
-    picard_order: int = _setting(1, "number of Picard iterates", "solve")
+    picard_order: int = _setting(1, "number of Picard iterates (Picard only)", "solve")
     max_iter: int = _setting(fixedpoint.IterConfig.max_iter, "sweep limit of the Green iteration "
                              "(Picard runs exactly --picard-order iterates)", "solve")
     tol: float = _setting(fixedpoint.IterConfig.tol, "update norm that ends the Green iteration",
                           "solve")
     method: str = _setting("picard", "solver", "solve", choices=("picard", "green"))
-    beta_sign: str = _setting("+", "sign of the matched slope beta", "solve", choices=("+", "-"))
+    beta_sign: str = _setting("+", "sign of the matched slope beta (Picard only)", "solve",
+                              choices=("+", "-"))
     seed: int = _setting(0, "seed of the Green iteration's start, which is always random: "
                          "phi and psi uniform on [-1, 1]", "solve")
     format: str = _setting("csv", "profile format", "exact series solve", choices=("csv", "json"))
@@ -178,12 +180,11 @@ def cmd_sample(cfg: RunConfig, args: argparse.Namespace) -> int:
 def cmd_solve(cfg: RunConfig, args: argparse.Namespace) -> int:
     params = cfg.params()
     grid = cfg.grid()
-    icfg = fixedpoint.IterConfig(cfg.max_iter, cfg.tol)
     if cfg.method == "green":
+        icfg = fixedpoint.IterConfig(cfg.max_iter, cfg.tol)
         if cfg.seed < 0:
             raise ConfigurationError(f"seed must be >= 0, got {cfg.seed}")
-        rng = np.random.default_rng(cfg.seed)
-        start = model.FieldPair(rng.uniform(-1.0, 1.0, grid.n), rng.uniform(-1.0, 1.0, grid.n))
+        start = model.FieldPair(*np.random.default_rng(cfg.seed).uniform(-1.0, 1.0, (2, grid.n)))
         fields, trace = fixedpoint.green_kernel_iterate(params, grid, start, icfg)
         meta = {
             "method": "green",
@@ -192,11 +193,14 @@ def cmd_solve(cfg: RunConfig, args: argparse.Namespace) -> int:
             "final_diff": trace[-1],
         }
     else:
-        sign = 1.0 if cfg.beta_sign == "+" else -1.0
-        state = fixedpoint.solve_picard(
-            params, grid, icfg, cfg.picard_order, beta_sign=sign
-        )
+        state = fixedpoint.solve_picard(params, grid, fixedpoint.IterConfig(), cfg.picard_order,
+                                        beta_sign=1.0 if cfg.beta_sign == "+" else -1.0)
         fields = state.fields
+        try:  # one Green sweep from the iterate: its defect ||u - T(u)||, null on overflow
+            green_defect = fixedpoint.green_kernel_iterate(
+                params, grid, fields, fixedpoint.IterConfig(1, math.inf))[1][0]
+        except DivergenceError:
+            green_defect = None
         meta = {
             "method": "picard",
             "order": state.n,
@@ -206,6 +210,7 @@ def cmd_solve(cfg: RunConfig, args: argparse.Namespace) -> int:
             "endpoint_residual": fixedpoint.endpoint_residual(state),
             "matching_tolerance": fixedpoint._tolerance(grid, (state.constants.beta,
                                                                state.constants.gamma)),
+            "green_defect": green_defect,
         }
     write_profile(cfg.out, grid.nodes, fields.phi, fields.psi, cfg.format)
     if cfg.out == "-":

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from twowave import cli, fixedpoint
 from twowave.cli import main, read_profile, write_profile
-from twowave.errors import ProfileParseError
+from twowave.errors import DivergenceError, ProfileParseError
 
 # No CLI path may leak a warning: diagnostics are reported, failures exit nonzero.
 pytestmark = pytest.mark.filterwarnings("error")
@@ -121,6 +121,36 @@ class TestSolveCommand:
         assert meta["beta"] == pytest.approx(math.sqrt(392.0), rel=1e-8)
         assert meta["endpoint_residual"] < 1e-10
         assert meta["matching_tolerance"] == fixedpoint.NEWTON_TOL
+        assert meta["green_defect"] > 1  # order 1 is far from a solution
+
+    @pytest.mark.parametrize("argv, low, high", [
+        (["--l1", 0, "--l2", 1, "--picard-order", 12], 0.0, 1e-9),
+        (["--l1", 0, "--l2", 1e-4, "--picard-order", 6, "--n", 20001], 1.0, math.inf),
+    ], ids=["order12-converged", "short-interval-unconverged"])
+    def test_sidecar_reports_the_green_defect(self, tmp_path, argv, low, high):
+        # the defect says how far the iterate is from a solution; the exit code does not
+        out = tmp_path / "s.csv"
+        assert run_cli("solve", *argv, "--out", out) == 0
+        meta = json.loads((tmp_path / "s.csv.meta.json").read_text())
+        assert low <= meta["green_defect"] <= high
+
+    def test_overflowing_green_defect_is_null(self, tmp_path, monkeypatch):
+        def overflow(*args):
+            raise DivergenceError(1)
+        monkeypatch.setattr(fixedpoint, "green_kernel_iterate", overflow)
+        out = tmp_path / "s.csv"
+        assert run_cli("solve", "--l1", 0, "--l2", 1, "--n", 101, "--out", out) == 0
+        assert '"green_defect": null' in (tmp_path / "s.csv.meta.json").read_text()
+
+    @pytest.mark.parametrize("flag", [["--max-iter", 0], ["--tol", -1], ["--seed", -1]],
+                             ids=["max-iter-0", "tol-negative", "seed-negative"])
+    def test_picard_ignores_green_settings(self, tmp_path, flag):
+        # --max-iter, --tol and --seed are read and checked only by --method green
+        plain, flagged = tmp_path / "a.csv", tmp_path / "b.csv"
+        argv = ["solve", "--l1", 0, "--l2", 1, "--n", 201, "--picard-order", 3]
+        assert run_cli(*argv, "--out", plain) == 0
+        assert run_cli(*argv, *flag, "--out", flagged) == 0
+        assert flagged.read_bytes() == plain.read_bytes()
 
     def test_short_interval_sidecar_reports_the_roundoff_tolerance(self, tmp_path):
         # on [0, 1e-3] the endpoint terms' roundoff, not NEWTON_TOL, sets the tolerance
@@ -203,6 +233,7 @@ class TestSolveCommand:
         assert lines[0] == "x,phi,psi" and len(lines) == 6
         meta = json.loads(captured.err)
         assert meta["method"] == "picard" and meta["order"] == 1
+        assert meta["green_defect"] > 0
 
     def test_json_format(self, tmp_path):
         out = tmp_path / "g.json"
@@ -693,7 +724,10 @@ class TestSettingsPerCommand:
 @pytest.mark.parametrize("argv, code, stream, text", [
     (["--help"], 0, "stdout", "usage: twowave"),
     (["solve", "--method", "green", "--seed", "-1"], 2, "stderr", "error: seed must be >= 0"),
-], ids=["help", "negative-seed"])
+    (["solve", "--method", "green", "--max-iter", "0"], 2, "stderr",
+     "error: max_iter must be >= 1"),
+    (["solve", "--method", "green", "--tol", "-1"], 2, "stderr", "error: tol must be positive"),
+], ids=["help", "negative-seed", "green-max-iter-0", "green-negative-tol"])
 def test_python_dash_m_runs_the_cli(argv, code, stream, text):
     env = dict(os.environ)
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -732,3 +766,6 @@ def test_cli_runs_without_scipy(tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == ["exact 0", "verify 0", "solve 0", "solve 0",
                                         "certify 0"], done.stderr
+    # every JSON document is strict: a NaN or Infinity fails the parse
+    for name in ("v.json", "cert.json", "picard.csv.meta.json", "green.csv.meta.json"):
+        json.loads((tmp_path / name).read_text(), parse_constant=pytest.fail)
