@@ -11,8 +11,10 @@ One lift, `_lift`, computes slope*d + V(g) for one integrand g, with g and its
 output as the only buffers. The sweep lifts f1(u) and f2(u), and the Newton
 tangent pass the linearised integrands of `model.eval_df`, each under one
 errstate: overflow shows as non-finite values, not warnings. The sweep's two
-update norms are the record of an iteration: a non-finite one is divergence,
-and a Picard state's order is the number of norms it holds.
+update norms are the record of an iteration, and a Picard state's order is the
+number of norms it holds. `_sweep` alone decides divergence, for every walk:
+a sweep whose new fields are not finite at l2, or whose update norms are not
+finite, raises DivergenceError with its step.
 
 Every array a sweep or a lift touches is in even–odd order (`quadrature.split`),
 so the running integrals read and write contiguous halves; node n - 1 (l2) sits
@@ -24,8 +26,7 @@ allocated once, and merges its last iterate once. Its set-up, `_sweep_buffers`,
 is shared with `green_kernel_iterate` and is the one place a start is checked
 against the grid. The coarse-phase solves of a sequenced match, on COARSE_N and
 (COARSE_N + 1) // 2 nodes, are never returned and keep no record: they give only
-their endpoint values and the Jacobian, compute no update norms, merge nothing,
-and read divergence once, from non-finite values at l2.
+their endpoint values and the Jacobian, compute no update norms and merge nothing.
 
 * Picard successive approximation on the Volterra form u = slope*d + V(f(u)),
   the textbook double integral, with the unknown left-end slopes
@@ -157,26 +158,28 @@ def _lift(d, h: float, g, slope, out) -> np.ndarray:
 
 
 def _sweep(params: SystemParams, d, h: float, fields, slopes: tuple, work, out,
-           step: int | None) -> list[float] | None:
-    """Apply u <- slope*d + V(f(u)) to the pair ``fields`` once: one `_lift` of each f(u).
+           step: int, record: bool) -> list[float]:
+    """Sweep ``step`` of a walk: u <- slope*d + V(f(u)) on ``fields``, one `_lift` per f(u).
 
     ``slopes`` holds the left-end slopes of (phi, psi), None as in `_lift`.
     ``work`` takes the integrand f(u) and then the update differences, and
     the new fields go into the pair ``out``, whose psi first holds eval_f2's
     scratch; all are in even–odd order, like the fields, and share no memory
-    with them. Returns the sup norms of the two updates. The old fields are
-    finite, so a norm is finite exactly when its new field is, unless the
-    update itself overflows: a norm that is not finite raises
-    DivergenceError(step). A ``step`` of None computes no norms and returns None.
+    with them. Returns the sup norms of the two updates, or [] without
+    ``record``. The one divergence rule: DivergenceError(step) if a new field
+    is not finite at l2, or with ``record`` an update norm is not finite. A
+    non-finite integrand runs through both running integrals to node n - 1,
+    so its sweep raises; the norms add the sweeps whose update overflows.
+    The l2 values are read as floats, as `_sup_norm` reads the norms.
     """
     phi, psi = fields
+    end = quadrature.l2_index(d.size)
     with np.errstate(over="ignore", invalid="ignore"):
         _lift(d, h, eval_f1(params, phi, psi, out=work), slopes[0], out[0])
         _lift(d, h, eval_f2(params, phi, psi, out=work, scratch=out[1]), slopes[1], out[1])
-        if step is None:
-            return None
-        norms = [_sup_norm(np.subtract(u, old, out=work)) for u, old in zip(out, fields)]
-    if not all(map(math.isfinite, norms)):
+        norms = [_sup_norm(np.subtract(u, old, out=work))
+                 for u, old in zip(out, fields)] if record else []
+    if not all(map(math.isfinite, [out[0][end], out[1][end], *norms])):
         raise DivergenceError(step)
     return norms
 
@@ -283,11 +286,9 @@ def _endpoint_map(params: SystemParams, grid: Grid, order: int, v, tangent: bool
     forward solves.
 
     Without ``record`` the sweeps compute no update norms and nothing is
-    merged: the state is None, and divergence is read once, from the endpoint
-    values. A non-finite value anywhere in an iterate runs through both
-    running integrals of every later sweep to node n - 1, so non-finite values
-    at l2 raise DivergenceError(order). A recorded solve raises at its first
-    non-finite update norm, before it gets there.
+    merged: the state is None. Either way the walk stops at its first
+    non-finite sweep, by `_sweep`'s one rule, with the running step
+    start.n + k + 1 of its sweep k.
     """
     c = MatchingConstants(v[0], v[1])
     d, work, pairs = _sweep_buffers(grid, None if start is None else start.fields)
@@ -309,14 +310,12 @@ def _endpoint_map(params: SystemParams, grid: Grid, order: int, v, tangent: bool
                     for g, slope, u in zip(dg, slopes, du):
                         _lift(d, grid.h, g, slope, u)
         swept = _sweep(params, d, grid.h, old, (c.beta, c.gamma), work, new,
-                       len(norms) + 1 if record else None)
-        if swept is not None:
+                       (0 if start is None else start.n) + k + 1, record)
+        if record:
             norms.append(max(swept))
     last, spare = pairs[order % 2], pairs[(order + 1) % 2]
     end = quadrature.l2_index(grid.n)
     fv = np.array([last[0][end], last[1][end]])
-    if not np.isfinite(fv).all():
-        raise DivergenceError(order)
     state = jac = None
     if record:
         fields = FieldPair(*(quadrature.merge(u, out=b) for u, b in zip(last, spare)))
@@ -456,10 +455,10 @@ def solve_picard(
       replaces it.
     * The coarse and half-grid solves return only their endpoint values and
       the Jacobian, never an iterate: they compute no update norms and
-      merge nothing. Divergence there is a non-finite endpoint value, raised
-      as DivergenceError with the order as its step; a coarse trial whose
-      iterates stay finite while an update overflows is rejected by its
-      residual.
+      merge nothing. Every walk raises DivergenceError at its first sweep
+      that is not finite at l2, so a diverging solve reports the same step
+      at every grid size; a coarse trial whose iterates stay finite while an
+      update overflows is rejected by its residual.
 
     A Picard solve reads nothing from ``cfg``, whose limits govern only the
     Green iteration. For the iterates of fixed slopes, walk
@@ -515,7 +514,7 @@ def green_kernel_iterate(
     trace: list[float] = []
     for k in range(cfg.max_iter):
         old, new = pairs[k % 2], pairs[(k + 1) % 2]
-        dphi, dpsi = _sweep(params, d, grid.h, old, (None, None), work, new, k + 1)
+        dphi, dpsi = _sweep(params, d, grid.h, old, (None, None), work, new, k + 1, True)
         trace.append(dphi + dpsi)
         if trace[-1] < cfg.tol:
             # merged once, into the pair this sweep read

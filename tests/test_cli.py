@@ -219,11 +219,11 @@ class TestSolveCommand:
 
     def test_diverging_coarse_phase_exits_3(self, tmp_path, capsys):
         # more than 4001 nodes: the match starts on the coarse grid, which
-        # keeps no iterate and reports the divergence at the order
+        # keeps no iterate and stops at its first non-finite sweep, as every walk does
         out = tmp_path / "s.csv"
         assert run_cli("solve", "--l1", 0, "--l2", 10, "--n", 4003, "--picard-order", 16,
                        "--out", out) == 3
-        assert "non-finite values at step 16" in capsys.readouterr().err
+        assert "non-finite values at step 10" in capsys.readouterr().err
         assert not out.exists()
 
     def test_stdout_gets_profile_and_stderr_gets_meta(self, capsys):

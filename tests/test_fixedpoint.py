@@ -1,12 +1,13 @@
 import inspect
 import math
 import tracemalloc
+import warnings
 from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from twowave import fixedpoint, quadrature
@@ -728,23 +729,92 @@ class TestSolvePicard:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("tangent", [False, True], ids=["plain", "tangent"])
     def test_record_free_divergence_is_read_at_the_endpoint(self, tangent):
-        # the iterate overflows in its first sweep; without a record the solve
-        # runs to the end on non-finite values and raises with its order
+        # the iterate overflows in its first sweep; without a record the
+        # non-finite values reach l2 in that sweep, which raises
         with pytest.raises(DivergenceError) as err:
             fixedpoint._endpoint_map(P1, unit_grid(2001), 3, np.array([1e160, 1e160]),
                                      tangent=tangent, record=False)
-        assert err.value.iteration == 3
+        assert err.value.iteration == 1
 
     @pytest.mark.filterwarnings("error")
-    def test_diverging_coarse_phase_raises_with_the_order(self):
+    @pytest.mark.parametrize("n", [2001, 2002, 4001, 4003, 20001])
+    def test_diverging_solve_reports_the_same_step_at_every_n(self, n):
         # on [0, 10] the order-16 iterate from the printed start overflows at
-        # step 10; the coarse phase reads that from its endpoint values
+        # step 10, whether the fine grid (n <= 4001) or the record-free coarse
+        # phase (n > 4001) makes the first forward solve
         with pytest.raises(DivergenceError) as err:
-            solve_picard(P1, Grid.uniform(Domain(0.0, 10.0), 4001), CFG, 16)
+            solve_picard(P1, Grid.uniform(Domain(0.0, 10.0), n), CFG, 16)
         assert err.value.iteration == 10
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("tangent", [False, True], ids=["plain", "tangent"])
+    def test_record_free_walk_stops_at_its_first_non_finite_sweep(self, monkeypatch, tangent):
+        # the order-16 walk of the test above sweeps no further than step 10
+        mc = match_constants_order1(P1, Domain(0.0, 10.0))
+        sweeps = []
+        sweep = fixedpoint._sweep
+        monkeypatch.setattr(fixedpoint, "_sweep", lambda *a: sweeps.append(a[-2]) or sweep(*a))
         with pytest.raises(DivergenceError) as err:
-            solve_picard(P1, Grid.uniform(Domain(0.0, 10.0), 4003), CFG, 16)
-        assert err.value.iteration == 16
+            fixedpoint._endpoint_map(P1, Grid.uniform(Domain(0.0, 10.0), 2001), 16,
+                                     np.array([mc.beta, mc.gamma]), tangent=tangent,
+                                     record=False)
+        assert err.value.iteration == 10
+        assert sweeps == list(range(1, 11))
+
+    @settings(max_examples=200, deadline=None)
+    @given(exponents=st.tuples(*[st.floats(-2.0, 160.0)] * 2),
+           signs=st.tuples(*[st.sampled_from([-1.0, 1.0])] * 2),
+           order=st.integers(1, 8), n=st.sampled_from([101, 102, 2001]),
+           length=st.sampled_from([0.1, 1.0, 10.0]), tangent=st.booleans())
+    def test_record_does_not_change_the_outcome(self, exponents, signs, order, n, length,
+                                                tangent):
+        # with or without a record a walk gives the same endpoint values and
+        # Jacobian bit for bit, or diverges at the same step; warnings are
+        # errors here, not in hypothesis's own reporting
+        v = np.array([sign * 10.0**e for sign, e in zip(signs, exponents)])
+        g = Grid.uniform(Domain(0.0, length), n)
+        outcomes = []
+        for record in (True, False):
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    _, fv, jac = fixedpoint._endpoint_map(P1, g, order, v, tangent=tangent,
+                                                          record=record)
+            except DivergenceError as err:
+                outcomes.append(err.iteration)
+            else:
+                outcomes.append((fv.tobytes(), None if jac is None else jac.tobytes()))
+        assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.parametrize("params, length, close", [
+        ((1.0, 1.0, 1.0), 1.0, True), ((1.0, 1.0, 1.0), 3.0, True),
+        ((2.0, 0.5, 0.5), 1.0, True), ((1.0, 1.0, 4.0), 1.0, True),
+        ((1.0, 1.0, 4.0), 3.0, False),
+    ], ids=["unit", "unit-L3", "r2", "alpha4", "alpha4-L3"])
+    def test_matched_profile_against_solve_bvp(self, params, length, close):
+        """scipy's collocation solver, seeded from the order-12 match, lands
+        within 1e-9 of it where the Picard iterates have settled, and more than
+        1e-7 away on (1, 1, 4) with L = 3, where they have not. Seeding makes
+        this a check that a true solution of the BVP lies this close to the
+        profile, not a blind re-solve that could find another solution."""
+        from scipy.integrate import solve_bvp
+
+        r, s, alpha = params
+        g = Grid.uniform(Domain(0.0, length), 2001)
+        st = solve_picard(SystemParams(r, s, alpha), g, CFG, 12)
+        x, phi, psi = np.linspace(0.0, length, g.n), st.fields.phi, st.fields.psi
+        seed = np.array([phi, np.gradient(phi, x), psi, np.gradient(psi, x)])
+
+        def rhs(_, y):
+            return np.array([y[1], (y[0] - y[0] * y[2]) / r,
+                             y[3], (alpha * y[2] - 0.5 * y[0] ** 2) / s])
+
+        sol = solve_bvp(rhs, lambda ya, yb: np.array([ya[0], yb[0], ya[2], yb[2]]), x, seed,
+                        tol=1e-8, max_nodes=100_000)
+        assert sol.success
+        bvp = sol.sol(x)
+        dist = max(np.max(np.abs(bvp[0] - phi)), np.max(np.abs(bvp[2] - psi)))
+        assert dist <= 1e-9 if close else dist > 1e-7
 
     @pytest.mark.parametrize("order", [1, 3])
     def test_translation_invariance(self, order):
